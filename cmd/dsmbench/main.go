@@ -62,7 +62,7 @@ type experimentTimes struct {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (all, fig1, fig2, table1, fig3, fig4, table2, fig5, ablation, netsweep, scaling, faults, protocols, chaos, nodescale, racecheck, adaptive)")
+	exp := flag.String("exp", "all", "experiment id: all, "+strings.Join(harness.IDs(), ", "))
 	scale := flag.String("scale", "small", "input scale: unit, small or paper")
 	procs := flag.Int("procs", 8, "number of simulated processors")
 	appList := flag.String("apps", "", "comma-separated application subset (default all)")
@@ -80,20 +80,6 @@ func main() {
 	sc, err := apps.ParseScale(*scale)
 	if err != nil {
 		fatal(err)
-	}
-	if *protocol != "" {
-		known := false
-		for _, name := range dsm.Protocols() {
-			if name == *protocol {
-				known = true
-			}
-		}
-		if !known {
-			fatal(fmt.Errorf("unknown protocol %q (registered: %v)", *protocol, dsm.Protocols()))
-		}
-	}
-	if *homePolicy != "" && *protocol != "hlrc" {
-		fatal(fmt.Errorf("-home-policy given but -protocol is not hlrc"))
 	}
 	opt := harness.Options{Procs: *procs, Scale: sc, Verify: *verify, Workers: *workers, Protocol: *protocol,
 		HomePolicy: *homePolicy, NodeScaleJSON: *nsJSON, RaceCheck: *raceCheck}
@@ -116,6 +102,12 @@ func main() {
 		}
 	}
 	session := harness.NewSession(opt)
+	// The session's base configuration carries -procs, -protocol,
+	// -home-policy and -race-check; reject a bad combination before
+	// anything simulates.
+	if err := dsm.ValidateMachineConfig(session.Config(session.AppNames()[0], harness.VarO)); err != nil {
+		fatal(err)
+	}
 
 	var selected []harness.Experiment
 	if *exp == "all" {

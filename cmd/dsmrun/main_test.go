@@ -19,7 +19,6 @@ func TestValidateMachine(t *testing.T) {
 		procs       int // 0 = leave DefaultConfig's 8
 		protocol    string
 		gcThreshold int64
-		eagerRC     bool
 		topology    string
 		radix       int
 		barrier     string
@@ -35,16 +34,12 @@ func TestValidateMachine(t *testing.T) {
 		{name: "hlrc", protocol: "hlrc"},
 		{name: "lrc with gc threshold", protocol: "lrc", gcThreshold: 1 << 20},
 		{name: "default with gc threshold", gcThreshold: 1 << 20},
-		{name: "legacy eager-rc switch maps to erc", eagerRC: true},
-		{name: "eager-rc switch with matching protocol", protocol: "erc", eagerRC: true},
 		{name: "unknown protocol lists registered ones", protocol: "treadmarks",
 			wantErr: []string{"unknown protocol", "treadmarks", "erc", "hlrc", "lrc"}},
 		{name: "hlrc rejects gc threshold", protocol: "hlrc", gcThreshold: 1 << 20,
 			wantErr: []string{"hlrc", "GCThreshold"}},
-		{name: "hlrc rejects shared pf-heap gc", protocol: "hlrc", eagerRC: false,
+		{name: "hlrc rejects shared pf-heap gc", protocol: "hlrc",
 			wantErr: []string{"hlrc", "PfHeapSharedGC"}},
-		{name: "eager-rc switch conflicts with hlrc", protocol: "hlrc", eagerRC: true,
-			wantErr: []string{"EagerRC", "hlrc"}},
 
 		{name: "zero procs", procs: -1,
 			wantErr: []string{"Procs", "positive"}},
@@ -87,7 +82,6 @@ func TestValidateMachine(t *testing.T) {
 			}
 			cfg.Protocol = tc.protocol
 			cfg.GCThreshold = tc.gcThreshold
-			cfg.EagerRC = tc.eagerRC
 			cfg.Net.Topology = tc.topology
 			cfg.Net.FatTreeRadix = tc.radix
 			cfg.Barrier = tc.barrier

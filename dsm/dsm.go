@@ -66,7 +66,9 @@ const PageSize = pagemem.PageSize
 type Env = core.Env
 
 // Config selects the cluster size, latency-tolerance mode, network
-// parameters and protocol cost model.
+// parameters and protocol cost model. The coherence protocol and its knobs
+// (Protocol, HomePolicy, Barrier, Gossip, ...) come from the embedded
+// protocol-engine Config, so they are set directly: cfg.Protocol = "hlrc".
 type Config = core.Config
 
 // System is one simulated cluster; create with NewSystem, then Run once.
@@ -143,16 +145,6 @@ func Protocols() []string { return proto.Names() }
 // Config.HomePolicy together with Protocol "hlrc"; the empty string selects
 // "static", the paper's fixed page-mod-N assignment.
 func HomePolicies() []string { return proto.HomePolicies() }
-
-// ValidateProtocolConfig checks that cfg names a registered coherence
-// protocol and that the protocol accepts cfg's knob combination (for
-// example, HLRC has no diff GC, so it rejects a nonzero GCThreshold).
-// NewSystem panics on an invalid combination; front ends validate user
-// input with this first to report a plain error instead.
-func ValidateProtocolConfig(cfg Config) error {
-	_, err := core.ProtoConfig(cfg)
-	return err
-}
 
 // ValidateMachineConfig checks the whole machine configuration — processor
 // and thread counts, interconnect topology (the fat tree needs power-of-two

@@ -54,7 +54,7 @@ var ablations = []ablation{
 		detail:  "write notices broadcast at every release (Munin-style) instead of lazily",
 		apps:    []string{"OCEAN", "WATER-NSQ", "SOR"},
 		variant: VarO,
-		mutate:  func(c *dsm.Config) { c.EagerRC = true },
+		mutate:  func(c *dsm.Config) { c.Protocol = "erc" },
 	},
 	{
 		name:    "shared-prefetch-heap",
@@ -74,62 +74,45 @@ var ablations = []ablation{
 // rows simulate concurrently on the session's worker pool; rendering waits
 // and prints in table order.
 func RunAblations(s *Session, w io.Writer) error {
-	type row struct {
-		ab        ablation
-		app       string
-		base, abl *dsm.Report
-	}
-	var rows []*row
+	// Each row is two cells: the full system, then the ablated one.
+	var cells []cell
 	for _, ab := range ablations {
 		for _, app := range ab.apps {
-			if contains(s.AppNames(), app) {
-				rows = append(rows, &row{ab: ab, app: app})
+			if !contains(s.AppNames(), app) {
+				continue
 			}
+			base := s.Config(app, ab.variant)
+			if ab.name == "shared-prefetch-heap" {
+				// Compare against the same GC threshold with the separate
+				// heap, so the ratio isolates the heap-sharing choice.
+				base.GCThreshold = 256 * 1024
+			}
+			abl := s.Config(app, ab.variant)
+			ab.mutate(&abl)
+			label := fmt.Sprintf("%s/%s", app, ab.variant)
+			cells = append(cells, cell{app, base, s.Opt.Verify, label},
+				cell{app, abl, s.Opt.Verify, label + " without " + ab.name})
 		}
 	}
-	if err := each(len(rows), func(i int) error {
-		r := rows[i]
-		// Ablated runs bypass the variant cache (configs differ).
-		cfg := s.Config(r.app, r.ab.variant)
-		if r.ab.name == "shared-prefetch-heap" {
-			// Compare against the same GC threshold with the separate
-			// heap, so the ratio isolates the heap-sharing choice.
-			cfgBase := cfg
-			cfgBase.GCThreshold = 256 * 1024
-			base, err := s.RunConfig(r.app, cfgBase)
-			if err != nil {
-				return err
-			}
-			r.base = base
-		} else {
-			base, err := s.Run(r.app, r.ab.variant)
-			if err != nil {
-				return err
-			}
-			r.base = base
-		}
-		r.ab.mutate(&cfg)
-		abl, err := s.RunConfig(r.app, cfg)
-		if err != nil {
-			return err
-		}
-		r.abl = abl
-		return nil
-	}); err != nil {
+	reps, err := s.runCells(cells)
+	if err != nil {
 		return err
 	}
 
 	fmt.Fprintln(w, "Ablation study: cost of removing each design mechanism")
 	fmt.Fprintf(w, "%-28s %-10s %-5s %12s %12s %8s\n",
 		"Mechanism removed", "App", "Cfg", "Full", "Ablated", "Ratio")
-	i := 0
 	for _, ab := range ablations {
-		for ; i < len(rows) && rows[i].ab.name == ab.name; i++ {
-			r := rows[i]
+		for _, app := range ab.apps {
+			if !contains(s.AppNames(), app) {
+				continue
+			}
+			base, abl := reps[0], reps[1]
+			reps = reps[2:]
 			fmt.Fprintf(w, "%-28s %-10s %-5s %10dus %10dus %7.2fx\n",
-				ab.name, r.app, ab.variant,
-				r.base.Elapsed/sim.Microsecond, r.abl.Elapsed/sim.Microsecond,
-				float64(r.abl.Elapsed)/float64(r.base.Elapsed))
+				ab.name, app, ab.variant,
+				base.Elapsed/sim.Microsecond, abl.Elapsed/sim.Microsecond,
+				float64(abl.Elapsed)/float64(base.Elapsed))
 		}
 		fmt.Fprintf(w, "  (%s)\n", ab.detail)
 	}

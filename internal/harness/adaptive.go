@@ -39,46 +39,36 @@ var AdaptiveBackends = []AdaptiveBackend{
 // RunAdaptive runs the adaptive-coherence grid and renders per-backend
 // tables plus the relative-elapsed summary.
 func RunAdaptive(s *Session, w io.Writer) error {
-	type cell struct {
-		app string
-		v   Variant
-		b   AdaptiveBackend
-		rep *dsm.Report
-	}
-	var cells []*cell
-	idx := make(map[string]*cell)
+	apps := s.AppNames()
+	var cells []cell
 	for _, b := range AdaptiveBackends {
-		for _, app := range s.AppNames() {
+		for _, app := range apps {
 			for _, v := range ProtocolVariants {
-				c := &cell{app: app, v: v, b: b}
-				cells = append(cells, c)
-				idx[c.app+"/"+c.b.Label+"/"+string(c.v)] = c
+				cells = append(cells, cell{app, s.protocolConfig(app, v, b.Protocol, b.Policy), true,
+					fmt.Sprintf("%s/%s under %s", app, v, b.Label)})
 			}
 		}
 	}
-	if err := each(len(cells), func(i int) error {
-		c := cells[i]
-		rep, err := s.RunProtocolPolicy(c.app, c.v, c.b.Protocol, c.b.Policy)
-		if err != nil {
-			return err
-		}
-		c.rep = rep
-		return nil
-	}); err != nil {
+	reps, err := s.runCells(cells)
+	if err != nil {
 		return err
+	}
+	// at returns the report of backend bi, app ai, variant vi.
+	at := func(bi, ai, vi int) *dsm.Report {
+		return reps[(bi*len(apps)+ai)*len(ProtocolVariants)+vi]
 	}
 
 	fmt.Fprintln(w, "Adaptive coherence: lrc vs hlrc home policies vs per-page mode switching (adp), outputs verified against goldens")
-	for _, b := range AdaptiveBackends {
+	for bi, b := range AdaptiveBackends {
 		fmt.Fprintf(w, "\nBackend %s\n", b.Label)
 		fmt.Fprintf(w, "%-10s %-4s %10s %8s %7s %8s %8s %8s %7s %7s %7s\n",
 			"App", "Cfg", "Elapsed", "Msgs", "VolKB", "DiffAppl", "HomeFlsh", "HomeFtch", "Migr", "ToHome", "ToDiff")
-		for _, app := range s.AppNames() {
-			for _, v := range ProtocolVariants {
-				c := idx[app+"/"+b.Label+"/"+string(v)]
-				n := c.rep.Sum()
+		for ai, app := range apps {
+			for vi, v := range ProtocolVariants {
+				rep := at(bi, ai, vi)
+				n := rep.Sum()
 				fmt.Fprintf(w, "%-10s %-4s %8sus %8d %7s %8d %8d %8d %7d %7d %7d\n",
-					app, v, usec(c.rep.Elapsed), c.rep.MsgsTotal, kb(c.rep.BytesTotal),
+					app, v, usec(rep.Elapsed), rep.MsgsTotal, kb(rep.BytesTotal),
 					n.DiffsApplied, n.HomeFlushes, n.HomeFetches,
 					n.HomeMigrations, n.ModeToHome, n.ModeToDiff)
 			}
@@ -91,19 +81,20 @@ func RunAdaptive(s *Session, w io.Writer) error {
 		fmt.Fprintf(w, " %8s", b.Label)
 	}
 	fmt.Fprintf(w, " %8s\n", "adp/best")
-	for _, app := range s.AppNames() {
-		for _, v := range ProtocolVariants {
-			base := idx[app+"/lrc/"+string(v)].rep
+	for ai, app := range apps {
+		for vi, v := range ProtocolVariants {
+			base := at(0, ai, vi)
 			fmt.Fprintf(w, "%-10s %-4s", app, v)
-			best := base.Elapsed
-			for _, b := range AdaptiveBackends[1:] {
-				rep := idx[app+"/"+b.Label+"/"+string(v)].rep
+			best, adp := base.Elapsed, base
+			for bi := 1; bi < len(AdaptiveBackends); bi++ {
+				rep := at(bi, ai, vi)
 				fmt.Fprintf(w, " %8.3f", float64(rep.Elapsed)/float64(base.Elapsed))
-				if b.Label != "adp" && rep.Elapsed < best {
+				if AdaptiveBackends[bi].Label == "adp" {
+					adp = rep
+				} else if rep.Elapsed < best {
 					best = rep.Elapsed
 				}
 			}
-			adp := idx[app+"/adp/"+string(v)].rep
 			fmt.Fprintf(w, " %8.3f\n", float64(adp.Elapsed)/float64(best))
 		}
 	}

@@ -42,11 +42,12 @@ func TestAdaptiveCrossWorkerDeterminism(t *testing.T) {
 	for _, b := range AdaptiveBackends {
 		for _, app := range seq.AppNames() {
 			for _, v := range ProtocolVariants {
-				a, err := seq.RunProtocolPolicy(app, v, b.Protocol, b.Policy)
+				cfg := seq.protocolConfig(app, v, b.Protocol, b.Policy)
+				a, err := seq.RunCfg(app, cfg, true)
 				if err != nil {
 					t.Fatal(err)
 				}
-				c, err := par.RunProtocolPolicy(app, v, b.Protocol, b.Policy)
+				c, err := par.RunCfg(app, cfg, true)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -115,11 +116,9 @@ func TestAdaptiveGridRaceCheckClean(t *testing.T) {
 	for _, b := range AdaptiveBackends {
 		for _, app := range s.AppNames() {
 			for _, v := range ProtocolVariants {
-				cfg := s.Config(app, v)
-				cfg.Protocol = b.Protocol
-				cfg.HomePolicy = b.Policy
+				cfg := s.protocolConfig(app, v, b.Protocol, b.Policy)
 				cfg.RaceCheck = true
-				if _, err := s.RunConfigVerified(app, cfg); err != nil {
+				if _, err := s.RunCfg(app, cfg, true); err != nil {
 					t.Errorf("%s/%s under %s: %v", app, v, b.Label, err)
 				}
 			}

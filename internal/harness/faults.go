@@ -57,33 +57,24 @@ var FaultVariants = []Variant{VarO, VarP, Var4T, Var4TP}
 // whose faults never exercised the transport (all counters zero) is an
 // error, since it would mean the soak soaked nothing.
 func RunFaults(s *Session, w io.Writer) error {
-	type cell struct {
-		app string
-		v   Variant
-		rep *dsm.Report
-	}
-	fmt.Fprintln(w, "Chaos soak: full grid under escalating fault schedules, outputs verified against goldens")
+	var cells []cell
 	for _, sched := range faultSchedules {
-		cells := make([]*cell, 0, len(s.AppNames())*len(FaultVariants))
 		for _, app := range s.AppNames() {
 			for _, v := range FaultVariants {
-				cells = append(cells, &cell{app: app, v: v})
+				cfg := s.Config(app, v)
+				cfg.Net.Faults = sched.plan
+				cells = append(cells, cell{app, cfg, true,
+					fmt.Sprintf("%s/%s under %s faults", app, v, sched.name)})
 			}
 		}
-		if err := each(len(cells), func(i int) error {
-			c := cells[i]
-			cfg := s.Config(c.app, c.v)
-			cfg.Net.Faults = sched.plan
-			rep, err := s.RunConfigVerified(c.app, cfg)
-			if err != nil {
-				return fmt.Errorf("%s/%s under %s faults: %w", c.app, c.v, sched.name, err)
-			}
-			c.rep = rep
-			return nil
-		}); err != nil {
-			return err
-		}
+	}
+	reps, err := s.runCells(cells)
+	if err != nil {
+		return err
+	}
 
+	fmt.Fprintln(w, "Chaos soak: full grid under escalating fault schedules, outputs verified against goldens")
+	for _, sched := range faultSchedules {
 		p := sched.plan
 		fmt.Fprintf(w, "\nSchedule %-8s loss=%.1f%% dup=%.1f%% reorder=%.1f%% jitter<=%s brownouts=%d stalls=%d\n",
 			sched.name, 100*p.Loss, 100*p.Dup, 100*p.Reorder, usec(p.MaxJitter)+"us",
@@ -91,15 +82,19 @@ func RunFaults(s *Session, w io.Writer) error {
 		fmt.Fprintf(w, "%-10s %-4s %10s %7s %7s %8s %7s %8s %8s %7s\n",
 			"App", "Cfg", "Elapsed", "Retx", "Tmout", "DupSupp", "Acks", "MaxRTO", "NetDrop", "verify")
 		var retx, tmout, dups int64
-		for _, c := range cells {
-			n := c.rep.Sum()
-			retx += n.Retransmits
-			tmout += n.Timeouts
-			dups += n.DupSuppressed
-			fmt.Fprintf(w, "%-10s %-4s %8sus %7d %7d %8d %7d %6sms %8d %7s\n",
-				c.app, c.v, usec(c.rep.Elapsed),
-				n.Retransmits, n.Timeouts, n.DupSuppressed, n.AcksSent,
-				fmt.Sprint(n.MaxBackoff/sim.Millisecond), c.rep.Drops, "ok")
+		for _, app := range s.AppNames() {
+			for _, v := range FaultVariants {
+				rep := reps[0]
+				reps = reps[1:]
+				n := rep.Sum()
+				retx += n.Retransmits
+				tmout += n.Timeouts
+				dups += n.DupSuppressed
+				fmt.Fprintf(w, "%-10s %-4s %8sus %7d %7d %8d %7d %6sms %8d %7s\n",
+					app, v, usec(rep.Elapsed),
+					n.Retransmits, n.Timeouts, n.DupSuppressed, n.AcksSent,
+					fmt.Sprint(n.MaxBackoff/sim.Millisecond), rep.Drops, "ok")
+			}
 		}
 		if retx == 0 && tmout == 0 && dups == 0 {
 			return fmt.Errorf("schedule %s: no retransmits, timeouts or suppressed duplicates across the grid — faults were not injected", sched.name)

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,10 +71,6 @@ type Options struct {
 	// deterministic; parallelism exists only between independent
 	// simulations, so results are identical for every worker count.
 	Workers int
-	// Faults injects deterministic network faults into every run of the
-	// session (the zero plan injects nothing). The faults experiment uses
-	// its own escalating schedules instead.
-	Faults dsm.FaultPlan
 	// Protocol selects the coherence backend for every run of the session
 	// ("" = the default, lrc). The protocols experiment compares all
 	// backends regardless of this option.
@@ -101,13 +98,15 @@ func DefaultOptions() Options {
 }
 
 // Session caches run results so that experiments sharing configurations
-// (e.g. Table 1 and Figure 3) do not re-simulate, and fans independent
-// runs out over a bounded worker pool.
+// (e.g. Table 1 and Figure 3, or the protocol and adaptive grids' lrc
+// cells) do not re-simulate, and fans independent runs out over a bounded
+// worker pool.
 //
 // Thread-safety contract: every Session method may be called from any
-// number of goroutines concurrently. Run deduplicates in-flight work
-// (singleflight): concurrent calls for the same app/variant trigger exactly
-// one simulation and all receive the same *dsm.Report. The number of
+// number of goroutines concurrently. RunCfg — which every other run method
+// calls — deduplicates in-flight work (singleflight): concurrent calls for
+// the same app, configuration and verification flag trigger exactly one
+// simulation and all receive the same *dsm.Report. The number of
 // simulations executing at once never exceeds Options.Workers, no matter
 // how many goroutines call in; excess callers queue. Experiment render
 // functions may therefore run concurrently against one shared Session.
@@ -119,7 +118,7 @@ type Session struct {
 	mu    sync.Mutex
 	cache map[string]*flight
 
-	simCount atomic.Int64 // simulations executed (cache misses + RunConfig)
+	simCount atomic.Int64 // simulations executed (cache misses)
 	simWall  atomic.Int64 // cumulative wall nanoseconds spent simulating
 }
 
@@ -183,7 +182,6 @@ func (s *Session) Config(app string, v Variant) dsm.Config {
 	}
 	cfg.Protocol = s.Opt.Protocol
 	cfg.HomePolicy = s.Opt.HomePolicy
-	cfg.Net.Faults = s.Opt.Faults
 	cfg.RaceCheck = s.Opt.RaceCheck
 	return cfg
 }
@@ -193,52 +191,36 @@ func (s *Session) Config(app string, v Variant) dsm.Config {
 // its result instead of simulating again — so Fig2's "O" run and Fig4's
 // "O" run simulate once even when the experiments render concurrently.
 func (s *Session) Run(app string, v Variant) (*dsm.Report, error) {
-	return s.cached(app+"/"+string(v), func() (*dsm.Report, error) {
-		rep, err := s.RunConfig(app, s.Config(app, v))
-		if err != nil {
-			err = fmt.Errorf("%s/%s: %w", app, v, err)
-		}
-		return rep, err
-	})
-}
-
-// RunProtocol simulates one application under one variant with the named
-// coherence protocol, with golden-output verification forced on (a protocol
-// comparison is only meaningful between runs that all computed the right
-// answer). Results are cached and singleflighted like Run's.
-func (s *Session) RunProtocol(app string, v Variant, protocol string) (*dsm.Report, error) {
-	return s.RunProtocolPolicy(app, v, protocol, "")
-}
-
-// RunProtocolPolicy is RunProtocol with an explicit home policy for the
-// home-based backend (empty = the protocol's default assignment). The cache
-// key includes the policy, so "hlrc" under different policies are distinct
-// runs.
-func (s *Session) RunProtocolPolicy(app string, v Variant, protocol, policy string) (*dsm.Report, error) {
-	key := app + "/" + protocol
-	if policy != "" {
-		key += "@" + policy
+	rep, err := s.RunCfg(app, s.Config(app, v), s.Opt.Verify)
+	if err != nil {
+		err = fmt.Errorf("%s/%s: %w", app, v, err)
 	}
-	return s.cached(key+"/"+string(v)+"/verified", func() (*dsm.Report, error) {
-		cfg := s.Config(app, v)
-		cfg.Protocol = protocol
-		cfg.HomePolicy = policy
-		rep, err := s.runConfig(app, cfg, true)
-		if err != nil {
-			label := protocol
-			if policy != "" {
-				label += "/" + policy
-			}
-			err = fmt.Errorf("%s/%s under %s: %w", app, v, label, err)
-		}
-		return rep, err
-	})
+	return rep, err
 }
 
-// cached returns the result stored under key, simulating it with sim on the
-// first call. Concurrent calls for the same key trigger exactly one
-// simulation and all receive the same result (singleflight).
-func (s *Session) cached(key string, sim func() (*dsm.Report, error)) (*dsm.Report, error) {
+// protocolConfig is the variant's configuration under the named coherence
+// protocol and home policy (empty = the protocol's default assignment),
+// regardless of the session's Protocol and HomePolicy options.
+func (s *Session) protocolConfig(app string, v Variant, protocol, policy string) dsm.Config {
+	cfg := s.Config(app, v)
+	cfg.Protocol = protocol
+	cfg.HomePolicy = policy
+	return cfg
+}
+
+// RunCfg simulates one application under an explicit configuration, with
+// golden-output verification on or off. It is the session's only
+// simulation path: results are cached under the app, the whole
+// configuration and the verification flag, so any two requests that differ
+// in any field — however deeply nested — are distinct runs, and identical
+// requests simulate once. Concurrent calls for the same request trigger
+// exactly one simulation and all receive the same result (singleflight).
+// A configuration the machine cannot build is reported as a plain error.
+func (s *Session) RunCfg(app string, cfg dsm.Config, verify bool) (*dsm.Report, error) {
+	// Every field of dsm.Config, nested ones included, is a plain value (no
+	// pointers, maps, funcs or Stringers), so %+v is a complete and
+	// deterministic rendering of the configuration.
+	key := fmt.Sprintf("%s/%t/%+v", app, verify, cfg)
 	s.mu.Lock()
 	if f, ok := s.cache[key]; ok {
 		s.mu.Unlock()
@@ -249,35 +231,20 @@ func (s *Session) cached(key string, sim func() (*dsm.Report, error)) (*dsm.Repo
 	s.cache[key] = f
 	s.mu.Unlock()
 
-	f.rep, f.err = sim()
+	f.rep, f.err = s.simulate(app, cfg, verify)
 	close(f.done)
 	return f.rep, f.err
 }
 
-// RunConfig simulates one application under an explicit configuration,
-// outside the variant cache (ablations and sweeps use non-variant
-// configs). The call counts against the session's worker pool, so
-// arbitrarily many goroutines may invoke it concurrently.
-func (s *Session) RunConfig(app string, cfg dsm.Config) (*dsm.Report, error) {
-	return s.runConfig(app, cfg, s.Opt.Verify)
-}
-
-// RunConfigVerified is RunConfig with golden-output verification forced on,
-// regardless of the session's Verify option. The chaos soak uses it: under
-// fault injection, completing is not enough — the computed results must
-// still match the sequential goldens.
-func (s *Session) RunConfigVerified(app string, cfg dsm.Config) (*dsm.Report, error) {
-	return s.runConfig(app, cfg, true)
-}
-
-func (s *Session) runConfig(app string, cfg dsm.Config, verify bool) (*dsm.Report, error) {
+// simulate runs one simulation on the worker pool.
+func (s *Session) simulate(app string, cfg dsm.Config, verify bool) (*dsm.Report, error) {
 	spec, err := apps.ByName(app)
 	if err != nil {
 		return nil, err
 	}
-	// Reject bad protocol/knob combinations as a plain error here rather
-	// than letting dsm.NewSystem panic inside a worker goroutine.
-	if err := dsm.ValidateProtocolConfig(cfg); err != nil {
+	// Reject configurations dsm.NewSystem would panic on here, rather than
+	// inside a worker goroutine.
+	if err := dsm.ValidateMachineConfig(cfg); err != nil {
 		return nil, err
 	}
 	s.sem <- struct{}{}
@@ -345,33 +312,45 @@ func (s *Session) Prewarm(keys []RunKey) {
 // RunAll simulates the given runs across the worker pool and blocks until
 // all complete, returning the first error.
 func (s *Session) RunAll(keys []RunKey) error {
-	return each(len(keys), func(i int) error {
-		_, err := s.Run(keys[i].App, keys[i].Variant)
-		return err
-	})
+	cells := make([]cell, len(keys))
+	for i, k := range keys {
+		cells[i] = cell{k.App, s.Config(k.App, k.Variant), s.Opt.Verify, k.App + "/" + string(k.Variant)}
+	}
+	_, err := s.runCells(cells)
+	return err
 }
 
-// each runs job(0) … job(n-1) concurrently, waits for all of them, and
-// returns the lowest-index error. Jobs typically call Run or RunConfig,
-// which bound actual simulation concurrency at the session's worker pool —
-// each itself spawns freely.
-func each(n int, job func(i int) error) error {
-	errs := make([]error, n)
+// cell is one simulation of an experiment grid: an application under an
+// explicit configuration, verified or not, and the label its error carries.
+type cell struct {
+	app    string
+	cfg    dsm.Config
+	verify bool
+	label  string
+}
+
+// runCells simulates every cell concurrently through RunCfg — so the
+// worker pool bounds the actual simulations and the cache shares runs
+// between grids — and returns the reports in cell order, or the
+// lowest-index cell's error prefixed with its label.
+func (s *Session) runCells(cells []cell) ([]*dsm.Report, error) {
+	reps := make([]*dsm.Report, len(cells))
+	errs := make([]error, len(cells))
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i, c := range cells {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			errs[i] = job(i)
-		}(i)
+			reps[i], errs[i] = s.RunCfg(c.app, c.cfg, c.verify)
+		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
+	for i, err := range errs {
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("%s: %w", cells[i].label, err)
 		}
 	}
-	return nil
+	return reps, nil
 }
 
 // Experiment regenerates one paper artifact.
@@ -420,6 +399,15 @@ func PrewarmKeys(s *Session, exps []Experiment) []RunKey {
 	return keys
 }
 
+// IDs returns every experiment id in Experiments order.
+func IDs() []string {
+	ids := make([]string, len(Experiments))
+	for i, e := range Experiments {
+		ids[i] = e.ID
+	}
+	return ids
+}
+
 // ByID returns the experiment with the given id.
 func ByID(id string) (Experiment, error) {
 	for _, e := range Experiments {
@@ -427,5 +415,5 @@ func ByID(id string) (Experiment, error) {
 			return e, nil
 		}
 	}
-	return Experiment{}, fmt.Errorf("unknown experiment %q", id)
+	return Experiment{}, fmt.Errorf("unknown experiment %q (valid: %s)", id, strings.Join(IDs(), ", "))
 }

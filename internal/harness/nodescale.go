@@ -121,58 +121,49 @@ func RunNodeScale(s *Session, w io.Writer) error {
 	protocols := ProtocolNames
 	machines := []string{"baseline", "scaled"}
 
-	type cell struct {
-		row NodeScaleRow
-		rep *dsm.Report
-	}
-	var cells []*cell
-	idx := make(map[string]*cell)
-	key := func(app, protocol string, procs int, machine string) string {
-		return fmt.Sprintf("%s/%s/%d/%s", app, protocol, procs, machine)
-	}
+	var cells []cell
+	var rows []NodeScaleRow
 	for _, app := range apps {
 		for _, protocol := range protocols {
 			for _, procs := range procsList {
 				for _, machine := range machines {
-					c := &cell{row: NodeScaleRow{App: app, Protocol: protocol, Procs: procs, Machine: machine}}
-					cells = append(cells, c)
-					idx[key(app, protocol, procs, machine)] = c
+					cells = append(cells, cell{app, s.nodeScaleConfig(app, protocol, procs, machine == "scaled"),
+						s.Opt.Verify, fmt.Sprintf("%s/%s/%d/%s", app, protocol, procs, machine)})
+					rows = append(rows, NodeScaleRow{App: app, Protocol: protocol, Procs: procs, Machine: machine})
 				}
 			}
 		}
 	}
-
-	if err := each(len(cells), func(i int) error {
-		c := cells[i]
-		cfg := s.nodeScaleConfig(c.row.App, c.row.Protocol, c.row.Procs, c.row.Machine == "scaled")
-		rep, err := s.RunConfig(c.row.App, cfg)
-		if err != nil {
-			return fmt.Errorf("%s: %w", key(c.row.App, c.row.Protocol, c.row.Procs, c.row.Machine), err)
-		}
-		c.rep = rep
-		sum := rep.Sum()
-		c.row.ElapsedUs = int64(rep.Elapsed / sim.Microsecond)
-		c.row.Msgs = rep.MsgsTotal
-		c.row.BarrierUs = int64(sum.BarrierStall / sim.Time(len(rep.Nodes)) / sim.Microsecond)
-		c.row.BarrierMsgs = rep.KindMsgs[proto.KindBarArrive] + rep.KindMsgs[proto.KindBarRelease]
-		c.row.NoticeMsgs = rep.KindMsgs[proto.KindEagerNotice] + rep.KindMsgs[proto.KindGossip]
-		c.row.GossipRounds = sum.GossipRounds
-		c.row.PeakLink = rep.PeakLink
-		c.row.PeakLinkUs = int64(rep.PeakLinkBacklog / sim.Microsecond)
-		return nil
-	}); err != nil {
+	reps, err := s.runCells(cells)
+	if err != nil {
 		return err
+	}
+	for i, rep := range reps {
+		r, sum := &rows[i], rep.Sum()
+		r.ElapsedUs = int64(rep.Elapsed / sim.Microsecond)
+		r.Msgs = rep.MsgsTotal
+		r.BarrierUs = int64(sum.BarrierStall / sim.Time(len(rep.Nodes)) / sim.Microsecond)
+		r.BarrierMsgs = rep.KindMsgs[proto.KindBarArrive] + rep.KindMsgs[proto.KindBarRelease]
+		r.NoticeMsgs = rep.KindMsgs[proto.KindEagerNotice] + rep.KindMsgs[proto.KindGossip]
+		r.GossipRounds = sum.GossipRounds
+		r.PeakLink = rep.PeakLink
+		r.PeakLinkUs = int64(rep.PeakLinkBacklog / sim.Microsecond)
+	}
+	// at returns the row of app ai, protocol pi, processor count qi and
+	// machine mi.
+	at := func(ai, pi, qi, mi int) NodeScaleRow {
+		return rows[((ai*len(protocols)+pi)*len(procsList)+qi)*len(machines)+mi]
 	}
 
 	fmt.Fprintln(w, "Node scaling: one switch + central barrier (+ erc broadcast) vs fat tree + combining tree + gossip")
-	for _, app := range apps {
-		for _, protocol := range protocols {
+	for ai, app := range apps {
+		for pi, protocol := range protocols {
 			fmt.Fprintf(w, "\n%s under %s\n", app, protocol)
 			fmt.Fprintf(w, "%-6s %-9s %12s %9s %10s %8s %8s %7s %14s %9s\n",
 				"Procs", "Machine", "Elapsed", "Msgs", "BarStall", "BarMsgs", "Notices", "Rounds", "PeakLink", "PeakWait")
-			for _, procs := range procsList {
-				for _, machine := range machines {
-					r := idx[key(app, protocol, procs, machine)].row
+			for qi, procs := range procsList {
+				for mi, machine := range machines {
+					r := at(ai, pi, qi, mi)
 					fmt.Fprintf(w, "%-6d %-9s %10dus %9d %8dus %8d %8d %7d %14s %7dus\n",
 						procs, machine, r.ElapsedUs, r.Msgs, r.BarrierUs,
 						r.BarrierMsgs, r.NoticeMsgs, r.GossipRounds, r.PeakLink, r.PeakLinkUs)
@@ -187,14 +178,13 @@ func RunNodeScale(s *Session, w io.Writer) error {
 	var checks []NodeScaleCheck
 	fmt.Fprintln(w, "\nScaled-machine wins at 64+ nodes (strictly lower than baseline)")
 	fmt.Fprintf(w, "%-10s %-6s %-6s %12s %12s\n", "App", "Proto", "Procs", "BarStall", "NoticeMsgs")
-	for _, app := range apps {
-		for _, protocol := range protocols {
-			for _, procs := range procsList {
+	for ai, app := range apps {
+		for pi, protocol := range protocols {
+			for qi, procs := range procsList {
 				if procs < 64 {
 					continue
 				}
-				base := idx[key(app, protocol, procs, "baseline")].row
-				scal := idx[key(app, protocol, procs, "scaled")].row
+				base, scal := at(ai, pi, qi, 0), at(ai, pi, qi, 1)
 				ck := NodeScaleCheck{
 					App: app, Protocol: protocol, Procs: procs,
 					BarrierLower: scal.BarrierUs < base.BarrierUs,
@@ -213,14 +203,12 @@ func RunNodeScale(s *Session, w io.Writer) error {
 
 	if path := s.Opt.NodeScaleJSON; path != "" {
 		snap := nodeScaleSnapshot{
-			Scale: s.Opt.Scale.String(),
-			Apps:  apps,
-			Procs: procsList,
+			Scale:  s.Opt.Scale.String(),
+			Apps:   apps,
+			Procs:  procsList,
+			Rows:   rows,
+			Checks: checks,
 		}
-		for _, c := range cells {
-			snap.Rows = append(snap.Rows, c.row)
-		}
-		snap.Checks = checks
 		buf, err := json.MarshalIndent(snap, "", "  ")
 		if err != nil {
 			return err

@@ -26,15 +26,15 @@ func TestTreeBarrierDegeneratesToCentral(t *testing.T) {
 			tree.Barrier = "tree"
 			tree.BarrierFanout = base.Procs - 1
 
-			rd, err := s.RunConfig(app, base)
+			rd, err := s.RunCfg(app, base, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rc, err := s.RunConfig(app, central)
+			rc, err := s.RunCfg(app, central, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rt, err := s.RunConfig(app, tree)
+			rt, err := s.RunCfg(app, tree, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,7 +58,7 @@ func TestScaledMachineDeterminism(t *testing.T) {
 	run := func(workers int) string {
 		s := NewSession(Options{Procs: 16, Scale: apps.Unit, Workers: workers})
 		cfg := s.nodeScaleConfig("SOR", "erc", 16, true)
-		rep, err := s.RunConfig("SOR", cfg)
+		rep, err := s.RunCfg("SOR", cfg, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,46 +31,36 @@ var ProtocolNames = []string{"lrc", "erc", "hlrc", "adp"}
 // attribute data movement to its protocol mechanism: diff fetches for the
 // diff-based backends, home flushes and whole-page home fetches for HLRC.
 func RunProtocols(s *Session, w io.Writer) error {
-	type cell struct {
-		app   string
-		v     Variant
-		proto string
-		rep   *dsm.Report
-	}
-	var cells []*cell
-	idx := make(map[string]*cell)
+	apps := s.AppNames()
+	var cells []cell
 	for _, proto := range ProtocolNames {
-		for _, app := range s.AppNames() {
+		for _, app := range apps {
 			for _, v := range ProtocolVariants {
-				c := &cell{app: app, v: v, proto: proto}
-				cells = append(cells, c)
-				idx[c.app+"/"+c.proto+"/"+string(c.v)] = c
+				cells = append(cells, cell{app, s.protocolConfig(app, v, proto, ""), true,
+					fmt.Sprintf("%s/%s under %s", app, v, proto)})
 			}
 		}
 	}
-	if err := each(len(cells), func(i int) error {
-		c := cells[i]
-		rep, err := s.RunProtocol(c.app, c.v, c.proto)
-		if err != nil {
-			return err
-		}
-		c.rep = rep
-		return nil
-	}); err != nil {
+	reps, err := s.runCells(cells)
+	if err != nil {
 		return err
+	}
+	// at returns the report of protocol pi, app ai, variant vi.
+	at := func(pi, ai, vi int) *dsm.Report {
+		return reps[(pi*len(apps)+ai)*len(ProtocolVariants)+vi]
 	}
 
 	fmt.Fprintln(w, "Protocol comparison: application grid under each coherence backend, outputs verified against goldens")
-	for _, proto := range ProtocolNames {
+	for pi, proto := range ProtocolNames {
 		fmt.Fprintf(w, "\nProtocol %s\n", proto)
 		fmt.Fprintf(w, "%-10s %-4s %10s %8s %7s %8s %8s %8s %8s %8s %7s\n",
 			"App", "Cfg", "Elapsed", "Msgs", "VolKB", "RemMiss", "DiffAppl", "HomeFlsh", "HomeFtch", "HomeKB", "verify")
-		for _, app := range s.AppNames() {
-			for _, v := range ProtocolVariants {
-				c := idx[app+"/"+proto+"/"+string(v)]
-				n := c.rep.Sum()
+		for ai, app := range apps {
+			for vi, v := range ProtocolVariants {
+				rep := at(pi, ai, vi)
+				n := rep.Sum()
 				fmt.Fprintf(w, "%-10s %-4s %8sus %8d %7s %8d %8d %8d %8d %8s %7s\n",
-					app, v, usec(c.rep.Elapsed), c.rep.MsgsTotal, kb(c.rep.BytesTotal),
+					app, v, usec(rep.Elapsed), rep.MsgsTotal, kb(rep.BytesTotal),
 					n.Misses, n.DiffsApplied, n.HomeFlushes, n.HomeFetches,
 					kb(n.HomeFlushBytes+n.HomeFetchBytes), "ok")
 			}
@@ -83,13 +73,12 @@ func RunProtocols(s *Session, w io.Writer) error {
 		fmt.Fprintf(w, " %8s", proto)
 	}
 	fmt.Fprintln(w)
-	for _, app := range s.AppNames() {
-		for _, v := range ProtocolVariants {
-			base := idx[app+"/lrc/"+string(v)].rep
+	for ai, app := range apps {
+		for vi, v := range ProtocolVariants {
+			base := at(0, ai, vi)
 			fmt.Fprintf(w, "%-10s %-4s", app, v)
-			for _, proto := range ProtocolNames[1:] {
-				rep := idx[app+"/"+proto+"/"+string(v)].rep
-				fmt.Fprintf(w, " %8.3f", float64(rep.Elapsed)/float64(base.Elapsed))
+			for pi := 1; pi < len(ProtocolNames); pi++ {
+				fmt.Fprintf(w, " %8.3f", float64(at(pi, ai, vi).Elapsed)/float64(base.Elapsed))
 			}
 			fmt.Fprintln(w)
 		}

@@ -3,8 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-
-	"godsm/dsm"
 )
 
 // Race-checked application grid: every application under the
@@ -22,32 +20,20 @@ import (
 // the detector charges no simulated time — so the table doubles as a
 // byte-level witness that checking is observation-free.
 func RunRaceCheck(s *Session, w io.Writer) error {
-	type cell struct {
-		app   string
-		v     Variant
-		proto string
-		rep   *dsm.Report
-	}
-	var cells []*cell
-	idx := make(map[string]*cell)
+	apps := s.AppNames()
+	var cells []cell
 	for _, proto := range ProtocolNames {
-		for _, app := range s.AppNames() {
+		for _, app := range apps {
 			for _, v := range ProtocolVariants {
-				c := &cell{app: app, v: v, proto: proto}
-				cells = append(cells, c)
-				idx[c.app+"/"+c.proto+"/"+string(c.v)] = c
+				cfg := s.protocolConfig(app, v, proto, "")
+				cfg.RaceCheck = true
+				cells = append(cells, cell{app, cfg, true,
+					fmt.Sprintf("%s/%s under %s with race checking", app, v, proto)})
 			}
 		}
 	}
-	if err := each(len(cells), func(i int) error {
-		c := cells[i]
-		rep, err := s.RunRaceChecked(c.app, c.v, c.proto)
-		if err != nil {
-			return err
-		}
-		c.rep = rep
-		return nil
-	}); err != nil {
+	reps, err := s.runCells(cells)
+	if err != nil {
 		return err
 	}
 
@@ -57,33 +43,18 @@ func RunRaceCheck(s *Session, w io.Writer) error {
 		fmt.Fprintf(w, " %12s", proto)
 	}
 	fmt.Fprintln(w)
-	for _, app := range s.AppNames() {
-		for _, v := range ProtocolVariants {
+	for ai, app := range apps {
+		for vi, v := range ProtocolVariants {
 			fmt.Fprintf(w, "%-10s %-4s", app, v)
-			for _, proto := range ProtocolNames {
-				fmt.Fprintf(w, " %10sus", usec(idx[app+"/"+proto+"/"+string(v)].rep.Elapsed))
+			for pi := range ProtocolNames {
+				rep := reps[(pi*len(apps)+ai)*len(ProtocolVariants)+vi]
+				fmt.Fprintf(w, " %10sus", usec(rep.Elapsed))
 			}
 			fmt.Fprintln(w)
 		}
 	}
 	fmt.Fprintf(w, "\n%d runs, 0 data races: the applications are data-race-free under every protocol\n", len(cells))
 	return nil
-}
-
-// RunRaceChecked simulates one application/variant/protocol cell with the
-// race detector on and golden verification forced, cached and
-// singleflighted like the other session runs.
-func (s *Session) RunRaceChecked(app string, v Variant, protocol string) (*dsm.Report, error) {
-	return s.cached(app+"/"+protocol+"/"+string(v)+"/raced", func() (*dsm.Report, error) {
-		cfg := s.Config(app, v)
-		cfg.Protocol = protocol
-		cfg.RaceCheck = true
-		rep, err := s.runConfig(app, cfg, true)
-		if err != nil {
-			err = fmt.Errorf("%s/%s under %s with race checking: %w", app, v, protocol, err)
-		}
-		return rep, err
-	})
 }
 
 func init() {

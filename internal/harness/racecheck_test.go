@@ -37,15 +37,17 @@ func TestRaceCheckedDeterminism(t *testing.T) {
 	for _, proto := range ProtocolNames {
 		for _, app := range seq.AppNames() {
 			for _, v := range ProtocolVariants {
-				a, err := seq.RunRaceChecked(app, v, proto)
+				cfg := seq.protocolConfig(app, v, proto, "")
+				off, err := seq.RunCfg(app, cfg, true)
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err := par.RunRaceChecked(app, v, proto)
+				cfg.RaceCheck = true
+				a, err := seq.RunCfg(app, cfg, true)
 				if err != nil {
 					t.Fatal(err)
 				}
-				off, err := seq.RunProtocol(app, v, proto)
+				b, err := par.RunCfg(app, cfg, true)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -72,7 +74,7 @@ func TestRacyFixturesFailDeterministically(t *testing.T) {
 		s := NewSession(Options{Procs: 4, Scale: apps.Unit, Workers: 1})
 		cfg := s.Config(app, VarO)
 		cfg.RaceCheck = true
-		_, err := s.RunConfig(app, cfg)
+		_, err := s.RunCfg(app, cfg, false)
 		if err == nil {
 			return "", nil
 		}

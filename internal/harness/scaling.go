@@ -17,49 +17,39 @@ import (
 func RunScaling(s *Session, w io.Writer) error {
 	procs := []int{1, 2, 4, 8}
 	variants := []Variant{VarO, VarP}
-	type job struct {
-		app     string
-		v       Variant
-		procs   int
-		elapsed sim.Time
-	}
-	var jobs []*job
+	var cells []cell
 	for _, app := range s.AppNames() {
 		for _, v := range variants {
 			for _, p := range procs {
-				jobs = append(jobs, &job{app: app, v: v, procs: p})
+				cfg := s.Config(app, v)
+				cfg.Procs = p
+				cells = append(cells, cell{app, cfg, s.Opt.Verify, fmt.Sprintf("%s/%s on %d procs", app, v, p)})
 			}
 		}
 	}
-	if err := each(len(jobs), func(i int) error {
-		j := jobs[i]
-		cfg := s.Config(j.app, j.v)
-		cfg.Procs = j.procs
-		rep, err := s.RunConfig(j.app, cfg)
-		if err != nil {
-			return err
-		}
-		j.elapsed = rep.Elapsed
-		return nil
-	}); err != nil {
+	reps, err := s.runCells(cells)
+	if err != nil {
 		return err
 	}
 
 	fmt.Fprintln(w, "Scaling: elapsed time and speedup vs processor count")
 	fmt.Fprintf(w, "%-10s %-4s %12s %12s %12s %12s\n",
 		"App", "Cfg", "1p", "2p", "4p", "8p")
-	for i := 0; i < len(jobs); i += len(procs) {
-		row := jobs[i : i+len(procs)]
-		fmt.Fprintf(w, "%-10s %-4s", row[0].app, row[0].v)
-		for _, j := range row {
-			fmt.Fprintf(w, " %10dus", j.elapsed/sim.Microsecond)
+	for _, app := range s.AppNames() {
+		for _, v := range variants {
+			row := reps[:len(procs)]
+			reps = reps[len(procs):]
+			fmt.Fprintf(w, "%-10s %-4s", app, v)
+			for _, rep := range row {
+				fmt.Fprintf(w, " %10dus", rep.Elapsed/sim.Microsecond)
+			}
+			fmt.Fprintln(w)
+			fmt.Fprintf(w, "%-10s %-4s", "", "↳spd")
+			for _, rep := range row {
+				fmt.Fprintf(w, " %11.2fx", float64(row[0].Elapsed)/float64(rep.Elapsed))
+			}
+			fmt.Fprintln(w)
 		}
-		fmt.Fprintln(w)
-		fmt.Fprintf(w, "%-10s %-4s", "", "↳spd")
-		for _, j := range row {
-			fmt.Fprintf(w, " %11.2fx", float64(row[0].elapsed)/float64(j.elapsed))
-		}
-		fmt.Fprintln(w)
 	}
 	fmt.Fprintln(w, "(speedups are relative to the same configuration on 1 processor)")
 	return nil

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"godsm/dsm"
 	"godsm/internal/sim"
 )
 
@@ -40,45 +39,34 @@ func RunNetSweep(s *Session, w io.Writer) error {
 		appsToRun = s.Opt.Apps
 	}
 	sweepVariants := []Variant{VarO, VarP, Var4T, Var4TP}
-	type cell struct {
-		np  netPoint
-		app string
-		v   Variant
-		rep *dsm.Report
-	}
-	var cells []*cell
+	var cells []cell
 	for _, np := range netPoints {
 		for _, app := range appsToRun {
 			for _, v := range sweepVariants {
-				cells = append(cells, &cell{np: np, app: app, v: v})
+				cfg := s.Config(app, v)
+				cfg.Net.PropDelay = np.prop
+				cfg.Net.NsPerByte = 8000 / np.mbps
+				cells = append(cells, cell{app, cfg, s.Opt.Verify,
+					fmt.Sprintf("%s/%s on %s", app, v, np.label)})
 			}
 		}
 	}
-	if err := each(len(cells), func(i int) error {
-		c := cells[i]
-		cfg := s.Config(c.app, c.v)
-		cfg.Net.PropDelay = c.np.prop
-		cfg.Net.NsPerByte = 8000 / c.np.mbps
-		rep, err := s.RunConfig(c.app, cfg)
-		c.rep = rep
-		return err
-	}); err != nil {
+	reps, err := s.runCells(cells)
+	if err != nil {
 		return err
 	}
 
 	fmt.Fprintln(w, "Network sensitivity: speedup of each technique vs. interconnect")
 	fmt.Fprintf(w, "%-22s %-10s %10s %8s %8s %8s\n",
 		"Network", "App", "O elapsed", "P", "4T", "4TP")
-	for i := 0; i < len(cells); i += len(sweepVariants) {
-		reps := make(map[Variant]*dsm.Report)
-		for j, v := range sweepVariants {
-			reps[v] = cells[i+j].rep
+	for _, np := range netPoints {
+		for _, app := range appsToRun {
+			o, p, t4, tp4 := reps[0], reps[1], reps[2], reps[3]
+			reps = reps[len(sweepVariants):]
+			fmt.Fprintf(w, "%-22s %-10s %8dus %7.2fx %7.2fx %7.2fx\n",
+				np.label, app, o.Elapsed/sim.Microsecond,
+				p.Speedup(o), t4.Speedup(o), tp4.Speedup(o))
 		}
-		fmt.Fprintf(w, "%-22s %-10s %8dus %7.2fx %7.2fx %7.2fx\n",
-			cells[i].np.label, cells[i].app, reps[VarO].Elapsed/sim.Microsecond,
-			reps[VarP].Speedup(reps[VarO]),
-			reps[Var4T].Speedup(reps[VarO]),
-			reps[Var4TP].Speedup(reps[VarO]))
 	}
 	return nil
 }
