@@ -6,7 +6,7 @@
 //
 //	dsmrun -app SOR [-procs 8] [-threads 1] [-prefetch]
 //	       [-switch-miss] [-switch-sync] [-scale unit|small|paper]
-//	       [-protocol lrc|erc|hlrc|adp] [-home-policy static|firsttouch|migrate]
+//	       [-protocol lrc|erc|hlrc|adp] [-home-policy static|migrate]
 //	       [-gc-threshold N]
 //	       [-topology single|fattree] [-fattree-radix N]
 //	       [-barrier central|tree] [-barrier-fanout N]
@@ -18,7 +18,8 @@
 // -protocol selects the coherence backend from the protocol registry
 // (default lrc, the TreadMarks baseline). Unknown names and knob
 // combinations the backend cannot honor (e.g. hlrc with -gc-threshold,
-// which only the diff-based backends use) are rejected up front — as are
+// which only the diff-based backends use, or -home-policy with any backend
+// but hlrc) are rejected up front — as are
 // machine shapes the simulator cannot build, like a fat tree over a
 // non-power-of-two -procs.
 //
@@ -141,9 +142,6 @@ func main() {
 	if set["race-granularity"] && !*raceCheck {
 		usageErr("-race-granularity given but -race-check is off")
 	}
-	if set["home-policy"] && *protocol != "hlrc" {
-		usageErr("-home-policy given but -protocol is not hlrc (adp keeps homes static and adapts per-page modes instead)")
-	}
 	if faultsOn && *faultSeed == 0 {
 		usageErr("-fault-seed 0 is reserved (it reads as unset); pick a nonzero seed")
 	}
@@ -182,7 +180,7 @@ func main() {
 	cfg.GossipSeed = *gossipSeed
 	cfg.RaceCheck = *raceCheck
 	cfg.RaceGranularity = *raceGran
-	if err := validateMachine(cfg); err != nil {
+	if err := dsm.ValidateMachineConfig(cfg); err != nil {
 		usageErr("%v", err)
 	}
 	if faultsOn {
@@ -372,17 +370,6 @@ func printReport(app string, r *dsm.Report) {
 			n.Retransmits, n.Timeouts, n.MaxBackoff/sim.Millisecond,
 			n.AcksSent, n.DupSuppressed, n.PfReqDropped, n.PfReplyDropped)
 	}
-}
-
-// validateMachine checks the machine- and protocol-selection flags before
-// anything simulates: -protocol must name a registered backend, the backend
-// must accept the knob combination (hlrc, for example, has no diff GC, so
-// it rejects a nonzero -gc-threshold), and the machine must be buildable —
-// a fat tree needs a power-of-two -procs, a combining tree an arity of at
-// least 2. Split from main so the usage-error table test can exercise it
-// directly.
-func validateMachine(cfg dsm.Config) error {
-	return dsm.ValidateMachineConfig(cfg)
 }
 
 func fatal(err error) {

@@ -9,7 +9,8 @@ import (
 
 // TestValidateMachine exercises the up-front flag validation: registered
 // protocol names pass (with any knobs they support), unknown names fail
-// with the registered list, knob combinations a backend cannot honor are
+// with the registered list, knob combinations a backend cannot honor (a
+// home policy on any backend but hlrc, among others) are
 // rejected, and machine shapes the simulator cannot build — a fat tree
 // over a non-power-of-two -procs, a degenerate combining-tree arity — are
 // reported as plain usage errors instead of panics in core.NewSystem.
@@ -18,6 +19,7 @@ func TestValidateMachine(t *testing.T) {
 		name        string
 		procs       int // 0 = leave DefaultConfig's 8
 		protocol    string
+		homePolicy  string
 		gcThreshold int64
 		topology    string
 		radix       int
@@ -40,6 +42,16 @@ func TestValidateMachine(t *testing.T) {
 			wantErr: []string{"hlrc", "GCThreshold"}},
 		{name: "hlrc rejects shared pf-heap gc", protocol: "hlrc",
 			wantErr: []string{"hlrc", "PfHeapSharedGC"}},
+		{name: "hlrc with static homes", protocol: "hlrc", homePolicy: "static"},
+		{name: "hlrc with migrating homes", protocol: "hlrc", homePolicy: "migrate"},
+		{name: "lrc rejects a home policy", protocol: "lrc", homePolicy: "migrate",
+			wantErr: []string{"lrc", "HomePolicy"}},
+		{name: "erc rejects a home policy", protocol: "erc", homePolicy: "migrate",
+			wantErr: []string{"erc", "HomePolicy"}},
+		{name: "adp rejects a home policy", protocol: "adp", homePolicy: "migrate",
+			wantErr: []string{"adp", "HomePolicy"}},
+		{name: "unknown home policy lists the valid ones", protocol: "hlrc", homePolicy: "firsttouch",
+			wantErr: []string{"firsttouch", "static, migrate"}},
 
 		{name: "zero procs", procs: -1,
 			wantErr: []string{"Procs", "positive"}},
@@ -81,6 +93,7 @@ func TestValidateMachine(t *testing.T) {
 				cfg.Procs = tc.procs
 			}
 			cfg.Protocol = tc.protocol
+			cfg.HomePolicy = tc.homePolicy
 			cfg.GCThreshold = tc.gcThreshold
 			cfg.Net.Topology = tc.topology
 			cfg.Net.FatTreeRadix = tc.radix
@@ -92,7 +105,7 @@ func TestValidateMachine(t *testing.T) {
 			if tc.name == "hlrc rejects shared pf-heap gc" {
 				cfg.PfHeapSharedGC = true
 			}
-			err := validateMachine(cfg)
+			err := dsm.ValidateMachineConfig(cfg)
 			if len(tc.wantErr) == 0 {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)

@@ -141,7 +141,7 @@ func DefaultCosts() proto.Costs { return proto.DefaultCosts() }
 func Protocols() []string { return proto.Names() }
 
 // HomePolicies returns the selectable page→home assignment policies of the
-// home-based protocol ("static", "firsttouch", "migrate"). Set one on
+// home-based protocol ("static", "migrate"). Set one on
 // Config.HomePolicy together with Protocol "hlrc"; the empty string selects
 // "static", the paper's fixed page-mod-N assignment.
 func HomePolicies() []string { return proto.HomePolicies() }

@@ -9,7 +9,7 @@ import (
 
 // Adaptive-coherence comparison: the application grid under the diff-based
 // baseline (lrc), the home-based backend under each home policy (static,
-// firsttouch, migrate), and the adaptive backend (adp), which keeps homes
+// migrate), and the adaptive backend (adp), which keeps homes
 // static but switches each page between the diff-based and home-based
 // regimes at barrier episodes. Every run verifies its output against the
 // sequential golden. The summary reports each backend's elapsed time
@@ -25,13 +25,12 @@ type AdaptiveBackend struct {
 	Policy   string
 }
 
-// AdaptiveBackends lists the compared configurations, baseline first. The
-// "static" trio are the fixed choices adp is measured against; firsttouch
-// and migrate move homes but keep every page home-based.
+// AdaptiveBackends lists the compared configurations, baseline first. lrc,
+// hlrc and hlrc/mig are the fixed choices adp is measured against; migrate
+// moves homes but keeps every page home-based.
 var AdaptiveBackends = []AdaptiveBackend{
 	{Label: "lrc", Protocol: "lrc"},
 	{Label: "hlrc", Protocol: "hlrc", Policy: "static"},
-	{Label: "hlrc/ft", Protocol: "hlrc", Policy: "firsttouch"},
 	{Label: "hlrc/mig", Protocol: "hlrc", Policy: "migrate"},
 	{Label: "adp", Protocol: "adp"},
 }

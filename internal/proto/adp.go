@@ -64,25 +64,18 @@ type adpCoherence struct {
 	// acc collects this node's per-page counters for the episode in progress.
 	acc *accSet
 
-	// Barrier-root decision state.
-	episode    int64
-	lastSwitch map[pagemem.PageID]int64
-	// burned marks pages evicted from home mode because the home regime was
-	// losing on them; they never re-enter (the apps are phase-regular, so one
-	// bad tenure predicts the next, and the bar prevents oscillation).
-	burned map[pagemem.PageID]bool
-	// everMulti marks pages that have had two or more writers in some
-	// episode. Such pages never enter home mode: phase-regular apps will
-	// write them that way again, and a multi-writer episode under the home
-	// regime pays a flush round trip per writer.
-	everMulti map[pagemem.PageID]bool
+	// barred (barrier-root decision state) marks pages that never enter
+	// home mode: pages that have had two or more writers in some episode
+	// (phase-regular apps will write them that way again, and a multi-writer
+	// episode under the home regime pays a flush round trip per writer), and
+	// pages evicted from home mode because the home regime was losing on
+	// them (one bad tenure predicts the next, and the bar prevents
+	// oscillation).
+	barred map[pagemem.PageID]bool
 }
 
-// Decision thresholds (decideMoves). A page switches at most once per
-// adpHold episodes — hysteresis against ping-ponging, and enough slack that
-// a fill's diff requests are long resolved before the page can switch again.
+// Decision thresholds (decideMoves).
 const (
-	adpHold      = 2
 	adpMinFaults = 3
 	// adpPageFrac sets the "diffs are effectively page-sized" cut: a page
 	// whose gathered diff volume reaches PageSize/adpPageFrac per gather
@@ -112,18 +105,16 @@ func validateADP(cfg Config) error {
 }
 
 func buildADP(n *Node, cfg Config) Subsystems {
-	hl, hpf := newHLRC(n, cfg, staticPolicy{})
+	hl, hpf := newHLRC(n, cfg, nil)
 	hl.xin = make(map[pagemem.PageID]*xferIn) // fills buffer arriving flushes here
 	lc := &lrcCoherence{n: n, pfReliable: cfg.PfReliable}
 	lpf := &lrcPrefetcher{n: n, throttle: cfg.ThrottlePf, reliable: cfg.PfReliable}
 	coh := &adpCoherence{
 		n: n, hl: hl, lc: lc, hpf: hpf,
-		mode:       make(map[pagemem.PageID]uint8),
-		exCover:    make(map[pagemem.PageID]lrc.VC),
-		acc:        newAccSet(),
-		lastSwitch: make(map[pagemem.PageID]int64),
-		burned:     make(map[pagemem.PageID]bool),
-		everMulti:  make(map[pagemem.PageID]bool),
+		mode:    make(map[pagemem.PageID]uint8),
+		exCover: make(map[pagemem.PageID]lrc.VC),
+		acc:     newAccSet(),
+		barred:  make(map[pagemem.PageID]bool),
 	}
 	return Subsystems{
 		Coherence: coh,
@@ -188,28 +179,16 @@ func (c *adpCoherence) Fault(p pagemem.PageID, onValid func()) {
 			c.hybridFault(p, old, onValid)
 			return
 		}
-		cl := c.acc.cell(p)
-		cl.faults++
-		if missing := n.missingDiffs(p); len(missing) > 0 {
-			nodes, _ := groupByNode(missing)
-			cl.msgs += int32(len(nodes))
-		}
+		c.acc.cell(p).faults++
 		c.lc.Fault(p, onValid)
 		return
 	}
 
 	// Home regime. Count at this layer (the embedded engine's tracking is
-	// off); one round trip unless the fault resolves from the local frame or
-	// the whole-page prefetch cache.
+	// off).
 	ps := n.page(p)
-	cl := c.acc.cell(p)
-	cl.faults++
+	c.acc.cell(p).faults++
 	home := c.hl.home(p)
-	if home != n.ID {
-		if pg := c.hpf.cache[p]; pg == nil || ps.twinned || anyOutsideSet(ps.pending, pg.covers) {
-			cl.msgs++
-		}
-	}
 	if ps.twinned && ps.hasUndiffed {
 		// A diff-era twin survived into the home regime (its interval closed
 		// lazily, later writes kept folding in). Commit it and flush the
@@ -240,8 +219,7 @@ func (c *adpCoherence) hybridFault(p pagemem.PageID, old []lrc.IntervalID, onVal
 	ps := n.page(p)
 	pfst := n.pf[p]
 	delete(n.pf, p)
-	cl := c.acc.cell(p)
-	cl.faults++
+	c.acc.cell(p).faults++
 
 	var outcome int64
 	switch {
@@ -268,7 +246,6 @@ func (c *adpCoherence) hybridFault(p pagemem.PageID, old []lrc.IntervalID, onVal
 		// applied vector reaches exCover once its in-flight flushes land, so
 		// the request parks at worst briefly and can never park on an
 		// interval the home will not learn of.
-		cl.msgs++
 		done := n.CPU.Service(n.C.FaultEntry+n.C.MsgSend, sim.CatDSM)
 		n.sendAfter(done, &netsim.Message{
 			Src: netsim.NodeID(n.ID), Dst: netsim.NodeID(home),
@@ -323,8 +300,6 @@ func (c *adpCoherence) tryCompleteHybrid(p pagemem.PageID) {
 	}
 	if missing {
 		if len(fresh) > 0 {
-			nodes, _ := groupByNode(fresh)
-			c.acc.cell(p).msgs += int32(len(nodes))
 			c.lc.issueDiffRequests(f, fresh, 0)
 		}
 		return
@@ -661,46 +636,41 @@ func (c *adpCoherence) episodeAcc() []PageAcc { return c.acc.drain(c.n.ID) }
 //     both count as gathers, so 3 excludes single-reader pages), and its
 //     gathers pulled near-page volume (bytes >= faults*PageSize/adpPageFrac):
 //     the home collapses those page-sized gathers into one eager-applied
-//     transfer (the FFT/LU transpose pattern). Pages that ever had two or
-//     more writers in an episode (everMulti) never enter: their writers
-//     would each pay a flush round trip through the home every episode, the
-//     regime hlrc loses on for OCEAN/WATER.
+//     transfer (the FFT/LU transpose pattern). Barred pages never enter:
+//     pages that ever had two or more writers in an episode, whose writers
+//     would each pay a flush round trip through the home every episode (the
+//     regime hlrc loses on for OCEAN/WATER), and evicted pages.
 //   - home -> diff when the page turns out to be multi-writer after all
 //     (wc >= 2), or when it has a single writer that is not the home and its
 //     flushes move far less than page-sized replies: readers would fetch
 //     those byte-sized diffs straight from the writer, but through the home
 //     they pay a page-sized reply plus the flush detour (the SOR boundary-
-//     page pattern). An evicted page is burned — it never re-enters, so a
+//     page pattern). An evicted page is barred — it never re-enters, so a
 //     wrong entry costs one episode and evictions cannot oscillate.
+//
+// No hold between switches is needed: the root applies its own moves at
+// release intake, so an entered page is in home mode at the next decide and
+// can only be evicted, and an evicted page is barred.
 func (c *adpCoherence) decideMoves(acc []PageAcc) []HomeMove {
-	c.episode++
 	agg := aggregateAcc(c.n.N, acc)
 	var moves []HomeMove
 	for i := range agg {
 		t := &agg[i]
 		wc, sole := t.writers()
 		if wc >= 2 {
-			c.everMulti[t.page] = true
+			c.barred[t.page] = true
 		}
-		writes, faults, _, bytes := t.total()
+		writes, faults, bytes := t.total()
 		if c.homeMode(t.page) {
 			smallDiffs := wc == 1 && sole != int(t.page)%c.n.N &&
 				bytes < writes*pagemem.PageSize/adpPageFrac
 			if wc >= 2 || smallDiffs {
 				moves = append(moves, HomeMove{Page: t.page, Mode: ModeDiff})
-				c.lastSwitch[t.page] = c.episode
-				c.burned[t.page] = true
+				c.barred[t.page] = true
 			}
 			continue
 		}
-		// Hysteresis applies only to entering home mode: a page that never
-		// switched cannot ping-pong, short apps need the first decision at
-		// the first barrier, and an eviction must be allowed at the very
-		// next decide so a wrong entry costs one episode.
-		if last, ok := c.lastSwitch[t.page]; ok && c.episode-last < adpHold {
-			continue
-		}
-		if c.burned[t.page] || c.everMulti[t.page] {
+		if c.barred[t.page] {
 			continue
 		}
 		// wc == 0 restricts the switch to pages that were purely consumed
@@ -711,7 +681,6 @@ func (c *adpCoherence) decideMoves(acc []PageAcc) []HomeMove {
 		if wc == 0 && faults >= adpMinFaults &&
 			bytes >= faults*pagemem.PageSize/adpPageFrac {
 			moves = append(moves, HomeMove{Page: t.page, Mode: ModeHome})
-			c.lastSwitch[t.page] = c.episode
 		}
 	}
 	return moves
@@ -796,9 +765,7 @@ func (pf *adpPrefetcher) Prefetch(p pagemem.PageID) int {
 	if c.homeMode(p) {
 		sent := pf.hpf.Prefetch(p)
 		if sent > 0 {
-			cl := c.acc.cell(p)
-			cl.faults++
-			cl.msgs += int32(sent)
+			c.acc.cell(p).faults++
 		}
 		return sent
 	}
@@ -817,9 +784,7 @@ func (pf *adpPrefetcher) Prefetch(p pagemem.PageID) int {
 	// hides the faults themselves.
 	sent := pf.lpf.Prefetch(p)
 	if sent > 0 {
-		cl := c.acc.cell(p)
-		cl.faults++
-		cl.msgs += int32(sent)
+		c.acc.cell(p).faults++
 	}
 	return sent
 }

@@ -68,7 +68,7 @@ func TestADPDecideEverMultiBarsEntry(t *testing.T) {
 	if moves := c.decideMoves(multi); len(moves) != 0 {
 		t.Fatalf("multi-writer diff page produced moves: %+v", moves)
 	}
-	if !c.everMulti[5] {
+	if !c.barred[5] {
 		t.Fatal("multi-writer episode not recorded")
 	}
 	if moves := c.decideMoves(consumedAcc(5)); len(moves) != 0 {
@@ -76,48 +76,28 @@ func TestADPDecideEverMultiBarsEntry(t *testing.T) {
 	}
 }
 
-// The hold window applies to entries: a decided switch is not followed by
-// another decision for the same page until adpHold episodes pass.
-func TestADPDecideEntryHold(t *testing.T) {
-	r := adpRig(4)
-	c := r.adp(0)
-
-	if moves := c.decideMoves(consumedAcc(5)); len(moves) != 1 {
-		t.Fatalf("first episode: moves = %+v", moves)
-	}
-	// The replica never applied the move (root-side state only), so the
-	// page is still diff-mode; the hold alone must block re-deciding.
-	if moves := c.decideMoves(consumedAcc(5)); len(moves) != 0 {
-		t.Fatalf("within hold: moves = %+v, want none", moves)
-	}
-	if moves := c.decideMoves(consumedAcc(5)); len(moves) != 1 {
-		t.Fatalf("after hold: moves = %+v, want the entry again", moves)
-	}
-}
-
 // The eviction rules: a home-mode page leaves on a multi-writer episode, or
 // on a sole non-home writer whose flush volume is far below page-sized
-// replies. Evictions ignore the hold window, and an evicted page is burned.
+// replies. An evicted page is barred from re-entering either way.
 func TestADPDecideEviction(t *testing.T) {
 	r := adpRig(4)
 	c := r.adp(0)
 
-	// Multi-writer eviction, within the hold window of its (simulated) entry.
+	// Multi-writer eviction.
 	c.mode[5] = ModeHome
-	c.lastSwitch[5] = c.episode + 1 // entered "this" episode
 	multi := []PageAcc{acc(5, 0, 1, 0, 0), acc(5, 2, 1, 0, 0)}
 	moves := c.decideMoves(multi)
 	if len(moves) != 1 || moves[0].Page != 5 || moves[0].Mode != ModeDiff {
 		t.Fatalf("multi-writer home page: moves = %+v, want eviction", moves)
 	}
-	if !c.burned[5] {
-		t.Fatal("evicted page not burned")
+	if !c.barred[5] {
+		t.Fatal("evicted page not barred")
 	}
 	delete(c.mode, 5)
-	// Burned: a later consumed episode cannot re-enter.
-	for i := 0; i < adpHold+1; i++ {
+	// Barred: later consumed episodes cannot re-enter.
+	for i := 0; i < 3; i++ {
 		if moves := c.decideMoves(consumedAcc(5)); len(moves) != 0 {
-			t.Fatalf("burned page re-entered home mode: %+v", moves)
+			t.Fatalf("barred page re-entered home mode: %+v", moves)
 		}
 	}
 
@@ -129,6 +109,13 @@ func TestADPDecideEviction(t *testing.T) {
 		t.Fatalf("small-diff home page: moves = %+v, want eviction", moves)
 	}
 	delete(c.mode, 9)
+	// A single-writer eviction bars the page as well: it was never
+	// multi-writer, so only the eviction keeps it out.
+	for i := 0; i < 3; i++ {
+		if moves := c.decideMoves(consumedAcc(9)); len(moves) != 0 {
+			t.Fatalf("small-diff-evicted page re-entered home mode: %+v", moves)
+		}
+	}
 
 	// The same volume written by the home itself moves nothing on the wire:
 	// no eviction.
@@ -229,7 +216,7 @@ func TestADPModeSwitchLockstep(t *testing.T) {
 		}
 	}
 
-	// Burned: another consumed episode must not re-enter home mode.
+	// Barred: another consumed episode must not re-enter home mode.
 	r.barrierAll(4)
 	for _, nd := range []int{1, 2, 3} {
 		faultRead(r, nd, page0)
@@ -237,7 +224,7 @@ func TestADPModeSwitchLockstep(t *testing.T) {
 	r.barrierAll(5)
 	for i := 0; i < 4; i++ {
 		if r.adp(i).homeMode(p) {
-			t.Fatalf("node %d: burned page %d re-entered home mode", i, p)
+			t.Fatalf("node %d: barred page %d re-entered home mode", i, p)
 		}
 	}
 }

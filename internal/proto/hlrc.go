@@ -57,17 +57,14 @@ type hlrcCoherence struct {
 	pf         *hlrcPrefetcher
 	pfReliable bool
 
-	// Home assignment: the table replica plus the policy that moves it.
-	// dyn enables the dynamic machinery (counters, transfers, the notice
-	// filter); false keeps the engine byte-identical to fixed mod-N homes.
-	// track enables per-page access counting for the barrier arrivals (off
-	// when this instance is embedded in the adaptive backend, which counts
-	// at its own layer).
-	homes  *homeTable
-	policy HomePolicy
-	dyn    bool
-	track  bool
-	acc    *accSet
+	// Home assignment: the table replica plus the migrate policy that moves
+	// it. A nil mig is the static mod-N assignment and keeps every dynamic
+	// code path (access counters, transfers, the notice filter) off, so the
+	// engine stays byte-identical to fixed homes; the adaptive backend embeds
+	// a static instance and counts at its own layer.
+	homes *homeTable
+	mig   *migratePolicy
+	acc   *accSet
 
 	// Home-side: applied[p][q] is the highest flushed interval sequence of
 	// writer q applied to this node's frame of home page p.
@@ -81,7 +78,7 @@ type hlrcCoherence struct {
 	asked map[pagemem.PageID]map[lrc.IntervalID]bool
 
 	// Dynamic-policy state (nil map reads are safe, so these stay nil under
-	// the static policy): pages whose home base has not been installed here
+	// static homes): pages whose home base has not been installed here
 	// yet, and pages this node was home for and transferred away.
 	xin  map[pagemem.PageID]*xferIn
 	away map[pagemem.PageID]bool
@@ -134,9 +131,8 @@ func (c *hlrcCoherence) flushPage(id lrc.IntervalID, p pagemem.PageID, cost sim.
 	n.Store.DropTwin(p)
 	ps.twinned = false
 	ps.hasUndiffed = false
-	if c.track {
-		cl := c.acc.cell(p)
-		cl.writes++
+	if c.mig != nil {
+		c.acc.cell(p).writes++
 	}
 	home := c.home(p)
 	if home == n.ID {
@@ -146,9 +142,6 @@ func (c *hlrcCoherence) flushPage(id lrc.IntervalID, p pagemem.PageID, cost sim.
 			st.buf = append(st.buf, &msgHomeFlush{From: n.ID, ID: id, Page: p, Diff: d})
 		}
 		return cost
-	}
-	if c.track {
-		c.acc.cells[p].bytes += int64(db)
 	}
 	n.bus.Emit(event.HomeFlush(n.ID, home, int64(p), db))
 	cost += n.C.MsgSend

@@ -28,7 +28,7 @@ func (c *hlrcCoherence) Fault(p pagemem.PageID, onValid func()) {
 	ps := n.page(p)
 	pfst := n.pf[p]
 	delete(n.pf, p)
-	if c.track {
+	if c.mig != nil {
 		c.acc.cell(p).faults++
 	}
 
@@ -40,7 +40,7 @@ func (c *hlrcCoherence) Fault(p pagemem.PageID, onValid func()) {
 	// Whole-page prefetch cache hit: the cached copy must cover every
 	// pending interval AND the page must carry no unflushed local writes
 	// (the stale copy would clobber them).
-	if pg := c.pf.take(p); pg != nil && !ps.twinned && !anyOutsideSet(ps.pending, pg.covers) {
+	if pg := c.pf.take(p); pg != nil && !ps.twinned && !anyOutside(ps.pending, pg.covers) {
 		copy(n.Store.Frame(p), pg.data)
 		ps.pending = ps.pending[:0]
 		n.bus.Emit(event.FaultLocal(n.ID, int64(p), event.OutcomePfHit))
@@ -84,9 +84,6 @@ func (c *hlrcCoherence) Fault(p pagemem.PageID, onValid func()) {
 	}
 	n.fetches[p] = f
 	c.asked[p] = asked
-	if c.track {
-		c.acc.cell(p).msgs++
-	}
 	done := n.CPU.Service(n.C.FaultEntry+n.C.MsgSend, sim.CatDSM)
 	n.sendAfter(done, &netsim.Message{
 		Src: netsim.NodeID(n.ID), Dst: netsim.NodeID(c.home(p)),
@@ -94,10 +91,6 @@ func (c *hlrcCoherence) Fault(p pagemem.PageID, onValid func()) {
 		Reliable: true, Kind: KindPageReq,
 		Payload: &msgPageReq{From: n.ID, Page: p, Need: need},
 	})
-}
-
-func anyOutsideSet(ids []lrc.IntervalID, set map[lrc.IntervalID]bool) bool {
-	return anyOutside(ids, set)
 }
 
 // homeFault handles a fault on a page homed at this node: the frame is
@@ -164,9 +157,6 @@ func (c *hlrcCoherence) handlePageReply(rep *msgPageReply) {
 		for _, id := range fresh {
 			f.needed[id] = true
 			asked[id] = true
-		}
-		if c.track {
-			c.acc.cell(rep.Page).msgs++
 		}
 		done := n.CPU.Service(n.C.MsgSend, sim.CatDSM)
 		n.sendAfter(done, &netsim.Message{

@@ -24,7 +24,7 @@ func (c *hlrcCoherence) handleHomeFlush(fl *msgHomeFlush) {
 		return
 	}
 	if c.home(fl.Page) != n.ID {
-		if c.dyn {
+		if c.mig != nil {
 			if c.away[fl.Page] {
 				// Late flush for a page transferred away: relay it.
 				done := n.CPU.Service(n.C.MsgSend, sim.CatDSM)
@@ -145,7 +145,7 @@ func (c *hlrcCoherence) completeHomeFetch(p pagemem.PageID, done sim.Time) {
 func (c *hlrcCoherence) handlePageReq(req *msgPageReq) {
 	n := c.n
 	if c.home(req.Page) != n.ID || c.xin[req.Page] != nil {
-		if !c.dyn && c.xin[req.Page] == nil {
+		if c.mig == nil && c.xin[req.Page] == nil {
 			n.pageInvariantf(req.Page, "node %d got a page request for page %d homed at %d",
 				n.ID, req.Page, c.home(req.Page))
 		}

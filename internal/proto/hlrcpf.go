@@ -61,8 +61,8 @@ func (pf *hlrcPrefetcher) cacheReply(rep *msgPageReply) {
 		n.pfHeap += pagemem.PageSize
 	}
 	pg.data = append(pg.data[:0], rep.Data...)
-	if pf.coh.dyn {
-		// Under a dynamic home policy successive replies can come from
+	if pf.coh.mig != nil {
+		// Under migrate successive replies can come from
 		// different servers (the home moved mid-flight), so a union of
 		// covers could claim intervals the latest data does not contain.
 		// Keep each entry a self-consistent (data, covers) pair instead.
@@ -100,7 +100,7 @@ func (pf *hlrcPrefetcher) Prefetch(p pagemem.PageID) int {
 		return 0
 	}
 	ps := n.page(p)
-	if pg, ok := pf.cache[p]; ok && !anyOutsideSet(ps.pending, pg.covers) {
+	if pg, ok := pf.cache[p]; ok && !anyOutside(ps.pending, pg.covers) {
 		n.bus.Emit(event.PfUnnecessary(n.ID, int64(p)))
 		n.CPU.Service(n.C.PfCheck, sim.CatPrefetchOv)
 		return 0

@@ -10,7 +10,7 @@ import (
 	"godsm/internal/sim"
 )
 
-// Home migration for the "hlrc" backend's dynamic policies. When the
+// Home migration for the "hlrc" backend's migrate policy. When the
 // barrier root decides a page moves, every replica updates its home table
 // in lockstep at release intake; the demoted home then ships its frame (the
 // base) plus the applied vector to the new home, and keeps forwarding any
@@ -204,18 +204,18 @@ func (c *hlrcCoherence) installXfer(p pagemem.PageID, st *xferIn) {
 
 // episodeAcc drains this node's per-page counters for a barrier arrival.
 func (c *hlrcCoherence) episodeAcc() []PageAcc {
-	if !c.track {
+	if c.mig == nil {
 		return nil
 	}
 	return c.acc.drain(c.n.ID)
 }
 
-// decideMoves runs the configured policy at the barrier root.
+// decideMoves runs the migrate policy at the barrier root.
 func (c *hlrcCoherence) decideMoves(acc []PageAcc) []HomeMove {
-	if !c.dyn {
+	if c.mig == nil {
 		return nil
 	}
-	return c.policy.Decide(c.homes, aggregateAcc(c.n.N, acc))
+	return c.mig.Decide(c.homes, aggregateAcc(c.n.N, acc))
 }
 
 // applyMoves updates this node's home-table replica and starts the base
@@ -233,9 +233,6 @@ func (c *hlrcCoherence) applyMoves(moves []HomeMove) {
 		nh := int(mv.Home)
 		c.homes.overrides[p] = mv.Home
 		cost += n.C.IntervalOp
-		if nh == old {
-			continue // first-touch freezing the page on its static home
-		}
 		if old == n.ID {
 			if len(c.parked[p]) > 0 {
 				n.pageInvariantf(p, "node %d demoted from page %d with parked demand requests", n.ID, p)
@@ -270,10 +267,10 @@ func (c *hlrcCoherence) applyMoves(moves []HomeMove) {
 
 // filterNotice implements the home-aware write-notice filter: a notice for
 // a page homed here whose flush is already applied carries no new data, so
-// the invalidation is suppressed. Inactive under the static policy to keep
-// the fixed-home engine byte-identical.
+// the invalidation is suppressed. Inactive under static homes to keep the
+// fixed-home engine byte-identical.
 func (c *hlrcCoherence) filterNotice(p pagemem.PageID, id lrc.IntervalID) bool {
-	if !c.dyn {
+	if c.mig == nil {
 		return false
 	}
 	if c.home(p) != c.n.ID || c.xin[p] != nil {

@@ -11,27 +11,26 @@ import (
 // Pluggable home assignment for the home-based backends. A homeTable maps
 // every page to its current home node; it starts as the static mod-N map
 // and is updated in lockstep at barrier releases, so every node's replica
-// is identical at every point where the assignment is consulted. A
-// HomePolicy decides, at the barrier root, which pages move where, from
+// is identical at every point where the assignment is consulted. The
+// migrate policy decides, at the barrier root, which pages move where, from
 // per-page access counters the arrivals piggyback.
 
 // PageAcc is one node's access record for one page over one barrier
-// episode, piggybacked on barrier arrivals when a dynamic policy runs.
-// Static policies attach none, keeping the arrival wire format (and the
+// episode, piggybacked on barrier arrivals when homes or modes adapt. The
+// static assignment attaches none, keeping the arrival wire format (and the
 // whole run) byte-identical to the fixed mod-N engine.
 type PageAcc struct {
 	Page   pagemem.PageID
 	Node   int32
 	Writes int32 // intervals closed here that wrote the page
 	Faults int32 // faults taken here on the page
-	Msgs   int32 // data-carrying message round trips the faults needed
-	Bytes  int64 // diff bytes this node shipped for the page
+	Bytes  int64 // diff bytes moved for the page (adp only)
 }
 
 // pageAccWire is the estimated on-wire size of one PageAcc record.
 const pageAccWire = 24
 
-// Home-move modes (HomeMove.Mode). Pure home-policy moves use ModeNone;
+// Home-move modes (HomeMove.Mode). Home migrations use ModeNone;
 // the adaptive backend uses ModeHome/ModeDiff to switch a page's protocol.
 const (
 	ModeNone uint8 = iota
@@ -40,7 +39,7 @@ const (
 )
 
 // HomeMove is one root decision distributed with the barrier releases:
-// either "page's home is now Home" (home policies) or "page now runs in
+// either "page's home is now Home" (migrate) or "page now runs in
 // mode Mode" (the adaptive backend; Home is ignored there).
 type HomeMove struct {
 	Page pagemem.PageID
@@ -76,15 +75,13 @@ type pageTotals struct {
 	page   pagemem.PageID
 	writes []int64 // per node
 	faults []int64
-	msgs   []int64
 	bytes  []int64
 }
 
-func (t *pageTotals) total() (writes, faults, msgs, bytes int64) {
+func (t *pageTotals) total() (writes, faults, bytes int64) {
 	for q := range t.writes {
 		writes += t.writes[q]
 		faults += t.faults[q]
-		msgs += t.msgs[q]
 		bytes += t.bytes[q]
 	}
 	return
@@ -104,7 +101,7 @@ func (t *pageTotals) writers() (count, sole int) {
 	return
 }
 
-// score is the policies' access weight: writes count double since each one
+// score is migrate's access weight: writes count double since each one
 // implies a diff the home must receive.
 func (t *pageTotals) score(q int) int64 { return 2*t.writes[q] + t.faults[q] }
 
@@ -122,72 +119,16 @@ func aggregateAcc(nprocs int, acc []PageAcc) []pageTotals {
 				page:   a.Page,
 				writes: make([]int64, nprocs),
 				faults: make([]int64, nprocs),
-				msgs:   make([]int64, nprocs),
 				bytes:  make([]int64, nprocs),
 			})
 		}
 		t := &out[i]
 		t.writes[a.Node] += int64(a.Writes)
 		t.faults[a.Node] += int64(a.Faults)
-		t.msgs[a.Node] += int64(a.Msgs)
 		t.bytes[a.Node] += int64(a.Bytes)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].page < out[j].page })
 	return out
-}
-
-// HomePolicy decides page→home assignment for the home-based backends.
-// Decide runs only at the barrier root, once per episode; the moves it
-// returns ride the releases and are applied by every replica in lockstep.
-type HomePolicy interface {
-	Name() string
-
-	// Dynamic reports whether the policy may ever move a home. False keeps
-	// every dynamic code path (counter collection, the barrier wire
-	// extensions, the notice filter) disabled, so the run stays
-	// byte-identical to the fixed mod-N engine.
-	Dynamic() bool
-
-	// Decide returns the home moves for this episode given the aggregated
-	// access totals and the current (pre-move) table.
-	Decide(tbl *homeTable, agg []pageTotals) []HomeMove
-}
-
-// staticPolicy is the fixed page-mod-N assignment (the paper's HLRC).
-type staticPolicy struct{}
-
-func (staticPolicy) Name() string                               { return "static" }
-func (staticPolicy) Dynamic() bool                              { return false }
-func (staticPolicy) Decide(*homeTable, []pageTotals) []HomeMove { return nil }
-
-// firstTouchPolicy assigns each page's home once, to the node with the
-// highest access score in the episode where the page first shows traffic
-// (ties go to the lowest node id). The assignment then freezes: an override
-// present in the table means the page has been claimed.
-type firstTouchPolicy struct{}
-
-func (firstTouchPolicy) Name() string  { return "firsttouch" }
-func (firstTouchPolicy) Dynamic() bool { return true }
-
-func (firstTouchPolicy) Decide(tbl *homeTable, agg []pageTotals) []HomeMove {
-	var moves []HomeMove
-	for i := range agg {
-		t := &agg[i]
-		if _, claimed := tbl.overrides[t.page]; claimed {
-			continue
-		}
-		best, bestScore := -1, int64(0)
-		for q := range t.writes {
-			if s := t.score(q); s > bestScore {
-				best, bestScore = q, s
-			}
-		}
-		if best < 0 {
-			continue
-		}
-		moves = append(moves, HomeMove{Page: t.page, Home: int32(best)})
-	}
-	return moves
 }
 
 // migratePolicy re-homes a page whenever some node's access score dominates
@@ -205,9 +146,6 @@ const (
 	migrateHold     = 2
 )
 
-func (*migratePolicy) Name() string  { return "migrate" }
-func (*migratePolicy) Dynamic() bool { return true }
-
 func (m *migratePolicy) Decide(tbl *homeTable, agg []pageTotals) []HomeMove {
 	m.episode++
 	var moves []HomeMove
@@ -223,6 +161,7 @@ func (m *migratePolicy) Decide(tbl *homeTable, agg []pageTotals) []HomeMove {
 				best, bestScore = q, s
 			}
 		}
+		// Never proposes the current home: every move is a real transfer.
 		if best == cur || bestScore < migrateMinScore || bestScore <= 2*t.score(cur) {
 			continue
 		}
@@ -234,26 +173,25 @@ func (m *migratePolicy) Decide(tbl *homeTable, agg []pageTotals) []HomeMove {
 
 // HomePolicies returns the selectable home-policy names in presentation
 // order (front ends list them in flag help).
-func HomePolicies() []string { return []string{"static", "firsttouch", "migrate"} }
+func HomePolicies() []string { return []string{"static", "migrate"} }
 
-// newHomePolicy resolves a policy name; empty selects static.
-func newHomePolicy(name string) (HomePolicy, error) {
+// newHomePolicy resolves a policy name: nil selects the static mod-N
+// assignment (the paper's HLRC; also the empty name), non-nil migrate.
+func newHomePolicy(name string) (*migratePolicy, error) {
 	switch name {
 	case "", "static":
-		return staticPolicy{}, nil
-	case "firsttouch":
-		return firstTouchPolicy{}, nil
+		return nil, nil
 	case "migrate":
 		return &migratePolicy{lastMove: make(map[pagemem.PageID]int64)}, nil
 	default:
-		return nil, fmt.Errorf("unknown home policy %q (have: static, firsttouch, migrate)", name)
+		return nil, fmt.Errorf("unknown home policy %q (have: static, migrate)", name)
 	}
 }
 
 // accCell is one page's local counters for the episode in progress.
 type accCell struct {
-	writes, faults, msgs int32
-	bytes                int64
+	writes, faults int32
+	bytes          int64
 }
 
 // accSet collects this node's per-page access counters between barriers.
@@ -289,7 +227,7 @@ func (s *accSet) drain(node int) []PageAcc {
 		c := s.cells[p]
 		out = append(out, PageAcc{
 			Page: p, Node: int32(node),
-			Writes: c.writes, Faults: c.faults, Msgs: c.msgs, Bytes: c.bytes,
+			Writes: c.writes, Faults: c.faults, Bytes: c.bytes,
 		})
 		delete(s.cells, p)
 	}

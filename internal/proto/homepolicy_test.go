@@ -7,7 +7,7 @@ import (
 )
 
 // Home-policy white-box tests: the page→home table's mod-N mapping at
-// awkward cluster sizes, the access aggregation, and the per-policy Decide
+// awkward cluster sizes, the access aggregation, and migrate's Decide
 // rules, plus end-to-end flush/fetch on non-power-of-two clusters.
 
 // acc is a shorthand PageAcc constructor for Decide-rule tests.
@@ -51,7 +51,7 @@ func TestAggregateAccMergesAndSorts(t *testing.T) {
 	if len(agg) != 2 || agg[0].page != 4 || agg[1].page != 9 {
 		t.Fatalf("aggregate pages = %+v, want [4 9]", agg)
 	}
-	w, f, _, b := agg[1].total()
+	w, f, b := agg[1].total()
 	if w != 2 || f != 4 || b != 120 {
 		t.Fatalf("page 9 totals = writes %d faults %d bytes %d, want 2/4/120", w, f, b)
 	}
@@ -61,58 +61,22 @@ func TestAggregateAccMergesAndSorts(t *testing.T) {
 	}
 }
 
+// Static (and the empty name) resolve to a nil policy, keeping every
+// dynamic code path off; migrate resolves to a live policy.
 func TestNewHomePolicyNames(t *testing.T) {
-	for _, name := range append([]string{""}, HomePolicies()...) {
-		pol, err := newHomePolicy(name)
-		if err != nil {
-			t.Fatalf("newHomePolicy(%q): %v", name, err)
+	for _, name := range []string{"", "static"} {
+		if mig, err := newHomePolicy(name); err != nil || mig != nil {
+			t.Errorf("newHomePolicy(%q) = %v, %v; want nil, nil", name, mig, err)
 		}
-		if name != "" && pol.Name() != name {
-			t.Errorf("policy %q reports name %q", name, pol.Name())
-		}
-		if name == "" && pol.Name() != "static" {
-			t.Errorf("empty policy name resolved to %q, want static", pol.Name())
-		}
+	}
+	if mig, err := newHomePolicy("migrate"); err != nil || mig == nil {
+		t.Fatalf("newHomePolicy(migrate) = %v, %v; want a policy", mig, err)
+	}
+	if _, err := newHomePolicy("firsttouch"); err == nil {
+		t.Fatal("newHomePolicy accepted the removed firsttouch policy")
 	}
 	if _, err := newHomePolicy("bogus"); err == nil {
 		t.Fatal("newHomePolicy accepted an unknown name")
-	}
-	if staticPol, _ := newHomePolicy("static"); staticPol.Dynamic() {
-		t.Fatal("static policy claims to be dynamic")
-	}
-}
-
-// First-touch claims a page once, for the node with the highest score
-// (writes double), ties to the lowest node; a claimed page never moves again.
-func TestFirstTouchDecide(t *testing.T) {
-	tbl := newHomeTable(4)
-	pol, _ := newHomePolicy("firsttouch")
-
-	// Node 2's one write (score 2) beats node 1's one fault (score 1).
-	moves := pol.Decide(tbl, aggregateAcc(4, []PageAcc{
-		acc(7, 1, 0, 1, 0),
-		acc(7, 2, 1, 0, 10),
-	}))
-	if len(moves) != 1 || moves[0].Page != 7 || moves[0].Home != 2 {
-		t.Fatalf("moves = %+v, want page 7 -> node 2", moves)
-	}
-	tbl.overrides[7] = 2
-
-	// Claimed: even a dominant new writer cannot move it.
-	moves = pol.Decide(tbl, aggregateAcc(4, []PageAcc{
-		acc(7, 3, 9, 9, 0),
-	}))
-	if len(moves) != 0 {
-		t.Fatalf("claimed page moved again: %+v", moves)
-	}
-
-	// Tie on score goes to the lowest node id.
-	moves = pol.Decide(tbl, aggregateAcc(4, []PageAcc{
-		acc(8, 3, 1, 0, 0),
-		acc(8, 1, 1, 0, 0),
-	}))
-	if len(moves) != 1 || moves[0].Home != 1 {
-		t.Fatalf("tie moves = %+v, want page 8 -> node 1", moves)
 	}
 }
 

@@ -18,11 +18,10 @@ type Config struct {
 
 	// HomePolicy selects the page→home assignment policy of the home-based
 	// backend: "static" (fixed page mod N; empty selects it, keeping the
-	// default path byte-identical), "firsttouch" (a page's home is fixed at
-	// the node that first shows traffic on it), or "migrate" (homes follow
-	// the dominant accessor across barrier episodes). Only meaningful for
-	// "hlrc"; the other backends reject a non-empty value ("adp" keeps
-	// homes static and adapts the per-page protocol mode instead).
+	// default path byte-identical) or "migrate" (homes follow the dominant
+	// accessor across barrier episodes). Only meaningful for "hlrc"; the
+	// other backends reject a non-empty value ("adp" keeps homes static and
+	// adapts the per-page protocol mode instead).
 	HomePolicy string
 
 	// ThrottlePf > 0 drops every ThrottlePf-th prefetch at issue time

@@ -170,9 +170,10 @@ func validateHLRC(cfg Config) error {
 	return nil
 }
 
-// newHLRC builds the home-based coherence pair. The adaptive backend embeds
-// one with the static policy and tracking off (it counts at its own layer).
-func newHLRC(n *Node, cfg Config, policy HomePolicy) (*hlrcCoherence, *hlrcPrefetcher) {
+// newHLRC builds the home-based coherence pair; a nil mig keeps homes
+// static. The adaptive backend embeds a static one (it counts at its own
+// layer).
+func newHLRC(n *Node, cfg Config, mig *migratePolicy) (*hlrcCoherence, *hlrcPrefetcher) {
 	pf := &hlrcPrefetcher{
 		n: n, throttle: cfg.ThrottlePf, reliable: cfg.PfReliable,
 		cache: make(map[pagemem.PageID]*pfPage),
@@ -180,14 +181,12 @@ func newHLRC(n *Node, cfg Config, policy HomePolicy) (*hlrcCoherence, *hlrcPrefe
 	coh := &hlrcCoherence{
 		n: n, pf: pf, pfReliable: cfg.PfReliable,
 		homes:   newHomeTable(n.N),
-		policy:  policy,
-		dyn:     policy.Dynamic(),
+		mig:     mig,
 		applied: make(map[pagemem.PageID]lrc.VC),
 		parked:  make(map[pagemem.PageID][]*msgPageReq),
 		asked:   make(map[pagemem.PageID]map[lrc.IntervalID]bool),
 	}
-	if coh.dyn {
-		coh.track = true
+	if mig != nil {
 		coh.acc = newAccSet()
 		coh.xin = make(map[pagemem.PageID]*xferIn)
 		coh.away = make(map[pagemem.PageID]bool)
@@ -197,11 +196,11 @@ func newHLRC(n *Node, cfg Config, policy HomePolicy) (*hlrcCoherence, *hlrcPrefe
 }
 
 func buildHLRC(n *Node, cfg Config) Subsystems {
-	policy, err := newHomePolicy(cfg.HomePolicy)
+	mig, err := newHomePolicy(cfg.HomePolicy)
 	if err != nil {
 		configInvariantf("proto: %v", err)
 	}
-	coh, pf := newHLRC(n, cfg, policy)
+	coh, pf := newHLRC(n, cfg, mig)
 	return Subsystems{
 		Coherence: coh,
 		Prefetch:  pf,
