@@ -5,6 +5,7 @@
 //	dsmbench [-exp all|fig1|fig2|table1|fig3|fig4|table2|fig5|...]
 //	         [-scale unit|small|paper] [-procs N] [-apps FFT,SOR,...]
 //	         [-protocol lrc|erc|hlrc|adp] [-workers N] [-json FILE] [-verify]
+//	         [-cpuprofile FILE] [-memprofile FILE]
 //
 // Each experiment prints the same rows/series as the corresponding artifact
 // in "Comparative Evaluation of Latency Tolerance Techniques for Software
@@ -17,8 +18,10 @@
 // render concurrently, while output still appears in paper order. Every
 // simulation is single-threaded and deterministic, so results are
 // byte-identical for any worker count. -json writes a machine-readable
-// summary (wall clock per experiment, aggregate simulation time, effective
-// speedup over a sequential run) for tracking performance across commits.
+// summary (the simulation time of the cells each experiment reads,
+// aggregate simulation time, effective speedup over a sequential run) for
+// tracking performance across commits. -cpuprofile and -memprofile write
+// host pprof profiles of the dsmbench process after a successful run.
 package main
 
 import (
@@ -56,9 +59,12 @@ type benchResult struct {
 	Note string `json:"note,omitempty"`
 }
 
+// experimentTimes charges one experiment the summed simulation time of the
+// cells it reads (harness.Session.SimTime). Experiments render
+// concurrently and share cells, so these do not add up to sim_wall_s.
 type experimentTimes struct {
-	ID    string  `json:"id"`
-	WallS float64 `json:"wall_s"`
+	ID   string  `json:"id"`
+	SimS float64 `json:"sim_s"`
 }
 
 func main() {
@@ -75,6 +81,8 @@ func main() {
 	nsProcs := flag.String("nodescale-procs", "", "comma-separated processor sweep for the nodescale experiment (default 8,64,256,1024)")
 	nsJSON := flag.String("nodescale-json", "", "write the nodescale experiment's snapshot here ('' = off)")
 	raceCheck := flag.Bool("race-check", false, "run every simulation under the happens-before race detector (the racecheck experiment always does)")
+	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile (pprof) of the run to this file")
+	memProfile := flag.String("memprofile", "", "write a host heap profile (pprof) at exit to this file")
 	flag.Parse()
 
 	sc, err := apps.ParseScale(*scale)
@@ -120,6 +128,16 @@ func main() {
 		selected = []harness.Experiment{e}
 	}
 
+	stopProfiles, err := harness.StartProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fatal(err)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fatal(err)
+		}
+	}()
+
 	start := harness.Wallclock()
 	// Schedule the full cached-run grid before any rendering starts, so
 	// the worker pool is busy end to end; experiments then render
@@ -129,7 +147,7 @@ func main() {
 	type rendered struct {
 		out  strings.Builder
 		err  error
-		wall time.Duration
+		sim  time.Duration
 		done chan struct{}
 	}
 	results := make([]*rendered, len(selected))
@@ -140,9 +158,9 @@ func main() {
 		go func(i int, e harness.Experiment) {
 			defer wg.Done()
 			r := results[i]
-			t0 := harness.Wallclock()
-			r.err = e.Run(session, &r.out)
-			r.wall = harness.Wallclock().Sub(t0)
+			view := session.Recording()
+			r.err = e.Run(view, &r.out)
+			r.sim = view.SimTime()
 			close(r.done)
 		}(i, e)
 	}
@@ -158,8 +176,8 @@ func main() {
 			fmt.Println()
 		}
 		os.Stdout.WriteString(r.out.String())
-		fmt.Printf("[%s done in %.1fs wall]\n", e.ID, r.wall.Seconds())
-		times = append(times, experimentTimes{ID: e.ID, WallS: r.wall.Seconds()})
+		fmt.Printf("[%s done, %.1fs simulation time]\n", e.ID, r.sim.Seconds())
+		times = append(times, experimentTimes{ID: e.ID, SimS: r.sim.Seconds()})
 	}
 	wg.Wait()
 	total := harness.Wallclock().Sub(start)

@@ -14,6 +14,7 @@
 //	       [-throttle N] [-verify] [-workers N]
 //	       [-loss P] [-dup P] [-fault-seed N] [-trace out.json]
 //	       [-race-check] [-race-granularity word|page]
+//	       [-cpuprofile FILE] [-memprofile FILE]
 //
 // -protocol selects the coherence backend from the protocol registry
 // (default lrc, the TreadMarks baseline). Unknown names and knob
@@ -50,6 +51,10 @@
 // in Perfetto (ui.perfetto.dev) or chrome://tracing: one track per simulated
 // processor plus a network track. Same seed, same trace — byte for byte.
 //
+// -cpuprofile and -memprofile write host pprof profiles of the dsmrun
+// process itself (go tool pprof reads them) after a successful run; they
+// change no simulated number and no byte of the report.
+//
 // -app accepts a single name, a comma-separated list, or "all". With more
 // than one application the independent simulations fan out over a worker
 // pool (-workers, default GOMAXPROCS) and the reports print in the
@@ -68,6 +73,7 @@ import (
 	"godsm/dsm"
 	"godsm/internal/apps"
 	"godsm/internal/event"
+	"godsm/internal/harness"
 	"godsm/internal/netsim"
 	"godsm/internal/proto"
 	"godsm/internal/sim"
@@ -101,6 +107,8 @@ func main() {
 	loss := flag.Float64("loss", 0, "message loss probability (nonzero enables fault injection)")
 	dup := flag.Float64("dup", 0, "message duplication probability")
 	faultSeed := flag.Int64("fault-seed", 1, "fault-injection PRNG seed")
+	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile (pprof) of the run to this file")
+	memProfile := flag.String("memprofile", "", "write a host heap profile (pprof) at exit to this file")
 	flag.Parse()
 
 	sc, err := apps.ParseScale(*scale)
@@ -199,6 +207,16 @@ func main() {
 			usageErr("-trace: %v", err)
 		}
 	}
+
+	stopProfiles, err := harness.StartProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		usageErr("%v", err)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fatal(err)
+		}
+	}()
 
 	if len(names) == 1 {
 		runOne(names[0], cfg, sc, *verify, *kinds, traceFile)

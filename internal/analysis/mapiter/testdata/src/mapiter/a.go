@@ -5,7 +5,7 @@ package mapiter
 
 import "sort"
 
-// collect is the proto/gc.go idiom: gather keys, sort, then work.
+// collect is the blessed idiom: gather keys, sort, then work.
 func collect(m map[int]string) []int {
 	var keys []int
 	for k := range m {

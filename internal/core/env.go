@@ -170,13 +170,13 @@ func (e *Env) Prefetch(a Addr) {
 	}
 	p := pagemem.PageOf(a)
 	pr := e.t.proc
-	if pr.sys.Cfg.ThreadsPerProc > 1 && !pr.sys.Cfg.NoPfSuppress && pr.pfFlags[uint64(p)] {
+	if pr.sys.Cfg.ThreadsPerProc > 1 && !pr.sys.Cfg.NoPfSuppress && pr.pfFlags.Get(p) {
 		return // a sibling thread already fetched or prefetched this page
 	}
 	e.flushBusy()
 	pr.node.Prefetch(p)
 	if pr.sys.Cfg.ThreadsPerProc > 1 {
-		pr.pfFlags[uint64(p)] = true
+		pr.pfFlags.Set(p, true)
 	}
 }
 
@@ -279,7 +279,7 @@ func (e *Env) Barrier(id int) {
 				wakers := pr.barWakers
 				pr.barWakers = nil
 				// A new phase begins: reset the redundant-prefetch flags.
-				clearFlags(pr.pfFlags)
+				pr.pfFlags.Reset()
 				for _, w := range wakers {
 					w()
 				}
@@ -306,12 +306,6 @@ func (e *Env) RaceExempt(reason string, body func()) {
 	d.ExemptPush(e.t.id)
 	defer d.ExemptPop(e.t.id)
 	body()
-}
-
-func clearFlags(m map[uint64]bool) {
-	for k := range m {
-		delete(m, k)
-	}
 }
 
 // ThreadRange splits n work items over all threads and returns this

@@ -61,7 +61,7 @@ type Processor struct {
 
 	// Redundant-prefetch suppression flags (Section 5.1): pages already
 	// touched/prefetched by some local thread this phase.
-	pfFlags map[uint64]bool
+	pfFlags pagemem.Table[bool]
 
 	// race is the machine-wide happens-before detector, shared by every
 	// processor; nil unless Config.RaceCheck is set — the nil check at
@@ -89,19 +89,18 @@ func (pr *Processor) llock(id int) *localLock {
 // sibling threads suppress redundant prefetches of it.
 func (pr *Processor) touch(p pagemem.PageID) {
 	if pr.sys.Cfg.ThreadsPerProc > 1 {
-		pr.pfFlags[uint64(p)] = true
+		pr.pfFlags.Set(p, true)
 	}
 }
 
 func newProcessor(s *System, id int, node *proto.Node, cpu *sim.CPU) *Processor {
 	return &Processor{
-		sys:     s,
-		id:      id,
-		node:    node,
-		cpu:     cpu,
-		bus:     s.K.Bus(),
-		llocks:  make(map[int]*localLock),
-		pfFlags: make(map[uint64]bool),
+		sys:    s,
+		id:     id,
+		node:   node,
+		cpu:    cpu,
+		bus:    s.K.Bus(),
+		llocks: make(map[int]*localLock),
 	}
 }
 

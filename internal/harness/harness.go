@@ -113,6 +113,14 @@ func DefaultOptions() Options {
 type Session struct {
 	Opt Options
 
+	*runCache // shared by every view of the session (see Recording)
+
+	reads *readSet // cells read through this view; nil unless made by Recording
+}
+
+// runCache is the state every view of a session shares: the worker pool,
+// the singleflight cache and the simulation counters.
+type runCache struct {
 	sem chan struct{} // counting semaphore bounding concurrent simulations
 
 	mu    sync.Mutex
@@ -124,9 +132,16 @@ type Session struct {
 
 // flight is one cached (possibly still running) simulation.
 type flight struct {
-	done chan struct{} // closed when rep/err are valid
+	done chan struct{} // closed when rep/err/wall are valid
 	rep  *dsm.Report
 	err  error
+	wall time.Duration // host time spent simulating this cell
+}
+
+// readSet records the distinct cells one view has read.
+type readSet struct {
+	mu      sync.Mutex
+	flights map[*flight]bool
 }
 
 // NewSession creates a harness session.
@@ -136,10 +151,42 @@ func NewSession(opt Options) *Session {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	return &Session{
-		Opt:   opt,
-		sem:   make(chan struct{}, workers),
-		cache: make(map[string]*flight),
+		Opt: opt,
+		runCache: &runCache{
+			sem:   make(chan struct{}, workers),
+			cache: make(map[string]*flight),
+		},
 	}
+}
+
+// Recording returns a view of the session that shares its options, cache
+// and worker pool, and records every cell read through it. Experiments
+// that render concurrently each get their own view, so SimTime can charge
+// each one the cells it reads.
+func (s *Session) Recording() *Session {
+	return &Session{Opt: s.Opt, runCache: s.runCache, reads: &readSet{flights: make(map[*flight]bool)}}
+}
+
+// SimTime returns the summed host time spent simulating the distinct cells
+// read through this view, whichever view's request simulated them: a cell
+// two experiments share counts for both. Zero for a view not made by
+// Recording.
+func (s *Session) SimTime() time.Duration {
+	if s.reads == nil {
+		return 0
+	}
+	s.reads.mu.Lock()
+	flights := make([]*flight, 0, len(s.reads.flights))
+	for f := range s.reads.flights {
+		flights = append(flights, f)
+	}
+	s.reads.mu.Unlock()
+	var sum time.Duration
+	for _, f := range flights { // outside the lock: RunCfg may be recording
+		<-f.done
+		sum += f.wall
+	}
+	return sum
 }
 
 // Workers returns the effective worker-pool size.
@@ -222,30 +269,38 @@ func (s *Session) RunCfg(app string, cfg dsm.Config, verify bool) (*dsm.Report, 
 	// deterministic rendering of the configuration.
 	key := fmt.Sprintf("%s/%t/%+v", app, verify, cfg)
 	s.mu.Lock()
-	if f, ok := s.cache[key]; ok {
-		s.mu.Unlock()
+	f, ok := s.cache[key]
+	if !ok {
+		f = &flight{done: make(chan struct{})}
+		s.cache[key] = f
+	}
+	s.mu.Unlock()
+	if r := s.reads; r != nil {
+		r.mu.Lock()
+		r.flights[f] = true
+		r.mu.Unlock()
+	}
+	if ok {
 		<-f.done
 		return f.rep, f.err
 	}
-	f := &flight{done: make(chan struct{})}
-	s.cache[key] = f
-	s.mu.Unlock()
 
-	f.rep, f.err = s.simulate(app, cfg, verify)
+	f.rep, f.wall, f.err = s.simulate(app, cfg, verify)
 	close(f.done)
 	return f.rep, f.err
 }
 
-// simulate runs one simulation on the worker pool.
-func (s *Session) simulate(app string, cfg dsm.Config, verify bool) (*dsm.Report, error) {
+// simulate runs one simulation on the worker pool, returning the host time
+// it took alongside its result.
+func (s *Session) simulate(app string, cfg dsm.Config, verify bool) (*dsm.Report, time.Duration, error) {
 	spec, err := apps.ByName(app)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	// Reject configurations dsm.NewSystem would panic on here, rather than
 	// inside a worker goroutine.
 	if err := dsm.ValidateMachineConfig(cfg); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	s.sem <- struct{}{}
 	defer func() { <-s.sem }()
@@ -253,15 +308,16 @@ func (s *Session) simulate(app string, cfg dsm.Config, verify bool) (*dsm.Report
 	sys := dsm.NewSystem(cfg)
 	inst := spec.Build(sys, apps.Options{Scale: s.Opt.Scale, Verify: verify})
 	rep, err := runSim(sys, inst.Run)
+	wall := Wallclock().Sub(start)
 	s.simCount.Add(1)
-	s.simWall.Add(int64(Wallclock().Sub(start)))
+	s.simWall.Add(int64(wall))
 	if err != nil {
-		return nil, err
+		return nil, wall, err
 	}
 	if err := inst.Err(); err != nil {
-		return nil, fmt.Errorf("verification failed: %w", err)
+		return nil, wall, fmt.Errorf("verification failed: %w", err)
 	}
-	return rep, nil
+	return rep, wall, nil
 }
 
 // runSim calls sys.Run, converting a *dsm.RaceError panic into a plain

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"sync"
@@ -455,5 +456,36 @@ func TestVerifiedExperimentRun(t *testing.T) {
 	var buf bytes.Buffer
 	if err := RunFig2(s, &buf); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecordingSimTime: a recording view charges an experiment the
+// simulation time of exactly the distinct cells it reads, whichever view
+// simulated them, and shares the root session's cache.
+func TestRecordingSimTime(t *testing.T) {
+	s := NewSession(Options{Procs: 4, Scale: apps.Unit, Apps: []string{"SOR"}})
+	fig1, fig2 := s.Recording(), s.Recording()
+	if err := RunFig1(fig1, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if err := RunFig2(fig2, io.Discard); err != nil { // reads fig1's O cell too
+		t.Fatal(err)
+	}
+	if err := RunTable1(fig2, io.Discard); err != nil { // same O/P cells again
+		t.Fatal(err)
+	}
+	runs, total := s.SimStats()
+	if runs != 2 {
+		t.Fatalf("%d simulations ran, want 2 (O and P, shared through the cache)", runs)
+	}
+	f1, f2 := fig1.SimTime(), fig2.SimTime()
+	if f1 <= 0 || f1 >= total {
+		t.Errorf("fig1 view SimTime = %v, want the O cell alone: in (0, %v)", f1, total)
+	}
+	if f2 != total {
+		t.Errorf("fig2 view SimTime = %v, want both cells, each once: %v", f2, total)
+	}
+	if s.SimTime() != 0 {
+		t.Errorf("root session SimTime = %v, want 0 (it records nothing)", s.SimTime())
 	}
 }

@@ -89,6 +89,23 @@ func BenchmarkTwinCycle(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreFrame measures resolving a resident frame, the Store's
+// share of every simulated shared access.
+func BenchmarkStoreFrame(b *testing.B) {
+	s := NewStore()
+	const pages = 256
+	for p := PageID(1); p <= pages; p++ {
+		s.Frame(p)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkFrame = s.Frame(PageID(1 + i%pages))
+	}
+}
+
+var sinkFrame []byte
+
 // TestMakeDiffAllocs locks in the pooling win: an unchanged page must not
 // allocate at all, and a diffed page must allocate exactly three times (the
 // Diff header, the run headers, and their shared data buffer), no matter

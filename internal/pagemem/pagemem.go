@@ -183,6 +183,8 @@ func (d *Diff) DataBytes() int {
 // Frames are allocated lazily and are zero-filled, matching the convention
 // that the shared heap starts zeroed everywhere.
 //
+// Frames and twins live in dense page tables (Table), so resolving a
+// resident page on the access path is a slice index, not a map lookup.
 // Page-sized buffers are carved out of multi-page slabs rather than
 // allocated one by one, and twin buffers retired by DropTwin are kept on a
 // free list for the next MakeTwin, so steady-state twinning does not
@@ -190,27 +192,30 @@ func (d *Diff) DataBytes() int {
 // concurrent use; concurrently running simulations each have their own
 // stores.
 type Store struct {
-	frames map[PageID][]byte
-	twins  map[PageID][]byte
+	frames Table[*pageBuf]
+	twins  Table[*pageBuf]
+	nTwins int // live twins, so TwinCount stays O(1)
 
-	slab      []byte   // remainder of the current zeroed allocation slab
-	freeTwins [][]byte // retired twin buffers, reused by MakeTwin
+	slab      []byte     // remainder of the current zeroed allocation slab
+	freeTwins []*pageBuf // retired twin buffers, reused by MakeTwin
 }
+
+// pageBuf is one page-sized buffer. Tables hold it by pointer, whose nil
+// zero value marks an absent page.
+type pageBuf = [PageSize]byte
 
 // slabPages is how many page frames one allocation slab provides.
 const slabPages = 64
 
 // NewStore returns an empty store.
-func NewStore() *Store {
-	return &Store{frames: make(map[PageID][]byte), twins: make(map[PageID][]byte)}
-}
+func NewStore() *Store { return &Store{} }
 
 // newPageBuf carves one zeroed page-sized buffer out of the current slab.
-func (s *Store) newPageBuf() []byte {
+func (s *Store) newPageBuf() *pageBuf {
 	if len(s.slab) < PageSize {
 		s.slab = make([]byte, slabPages*PageSize)
 	}
-	b := s.slab[:PageSize:PageSize]
+	b := (*pageBuf)(s.slab[:PageSize])
 	s.slab = s.slab[PageSize:]
 	return b
 }
@@ -218,49 +223,56 @@ func (s *Store) newPageBuf() []byte {
 // Frame returns the local copy of page p, allocating a zeroed frame on
 // first touch.
 func (s *Store) Frame(p PageID) []byte {
-	f, ok := s.frames[p]
-	if !ok {
+	f := s.frames.Get(p)
+	if f == nil {
 		f = s.newPageBuf()
-		s.frames[p] = f
+		s.frames.Set(p, f)
 	}
-	return f
+	return f[:]
 }
 
 // HasFrame reports whether a frame for p has been materialized.
-func (s *Store) HasFrame(p PageID) bool { _, ok := s.frames[p]; return ok }
+func (s *Store) HasFrame(p PageID) bool { return s.frames.Get(p) != nil }
 
 // MakeTwin snapshots page p's current contents as its twin. It panics if a
 // twin already exists: the protocol must discard the old twin first.
 func (s *Store) MakeTwin(p PageID) {
-	if _, ok := s.twins[p]; ok {
+	if s.twins.Get(p) != nil {
 		panic(fmt.Sprintf("pagemem: twin for page %d already exists", p))
 	}
-	var twin []byte
+	var twin *pageBuf
 	if n := len(s.freeTwins); n > 0 {
 		twin = s.freeTwins[n-1]
 		s.freeTwins = s.freeTwins[:n-1]
 	} else {
 		twin = s.newPageBuf()
 	}
-	copy(twin, s.Frame(p)) // overwrites the whole buffer; no zeroing needed
-	s.twins[p] = twin
+	copy(twin[:], s.Frame(p)) // overwrites the whole buffer; no zeroing needed
+	s.twins.Set(p, twin)
+	s.nTwins++
 }
 
 // Twin returns page p's twin, or nil if none exists. The returned slice is
 // only valid until DropTwin(p): the buffer is then recycled for a future
 // twin.
-func (s *Store) Twin(p PageID) []byte { return s.twins[p] }
+func (s *Store) Twin(p PageID) []byte {
+	if twin := s.twins.Get(p); twin != nil {
+		return twin[:]
+	}
+	return nil
+}
 
 // DropTwin discards page p's twin and recycles its buffer.
 func (s *Store) DropTwin(p PageID) {
-	if twin, ok := s.twins[p]; ok {
+	if twin := s.twins.Get(p); twin != nil {
 		s.freeTwins = append(s.freeTwins, twin)
-		delete(s.twins, p)
+		s.twins.Delete(p)
+		s.nTwins--
 	}
 }
 
 // TwinCount returns the number of live twins (diagnostics / GC accounting).
-func (s *Store) TwinCount() int { return len(s.twins) }
+func (s *Store) TwinCount() int { return s.nTwins }
 
 // Allocator is a bump allocator for the shared heap. All nodes run the same
 // allocation sequence deterministically, so addresses agree without

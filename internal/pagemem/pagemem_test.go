@@ -287,6 +287,77 @@ func TestDoubleTwinPanics(t *testing.T) {
 	s.MakeTwin(1)
 }
 
+// Queries for pages the store never touched must answer "absent" without
+// materializing anything, however far beyond the touched pages they are.
+func TestStoreQueriesBeyondTableDoNotGrow(t *testing.T) {
+	s := NewStore()
+	s.Frame(2)
+	n := len(s.frames.v)
+	for _, p := range []PageID{PageID(n), PageID(n) + 1, 1 << 20, 1<<32 - 1} {
+		if s.HasFrame(p) || s.Twin(p) != nil {
+			t.Fatalf("page %d reported present", p)
+		}
+		s.DropTwin(p) // absent: no-op
+	}
+	if len(s.frames.v) != n || len(s.twins.v) != 0 {
+		t.Fatalf("queries grew the tables: frames %d -> %d, twins %d", n, len(s.frames.v), len(s.twins.v))
+	}
+	if s.TwinCount() != 0 {
+		t.Fatalf("TwinCount = %d after DropTwin of absent pages", s.TwinCount())
+	}
+}
+
+func TestStoreSparseHighPage(t *testing.T) {
+	const high = PageID(1 << 20)
+	s := NewStore()
+	s.Frame(high)[9] = 3
+	s.MakeTwin(high)
+	s.Frame(high)[9] = 4
+	if !s.HasFrame(high) || s.HasFrame(high-1) || s.HasFrame(1) {
+		t.Fatal("HasFrame wrong around a sparse high page")
+	}
+	d := MakeDiff(high, s.Twin(high), s.Frame(high))
+	if d == nil || len(d.Runs) != 1 || d.Runs[0].Offset != 9 {
+		t.Fatalf("diff of a high page = %+v", d)
+	}
+}
+
+// TwinCount is a maintained counter, so it must track every make/drop,
+// including drops of pages without a twin.
+func TestStoreTwinCountCycles(t *testing.T) {
+	s := NewStore()
+	want := 0
+	check := func(step string) {
+		t.Helper()
+		if got := s.TwinCount(); got != want {
+			t.Fatalf("%s: TwinCount = %d, want %d", step, got, want)
+		}
+	}
+	for round := 0; round < 3; round++ {
+		for _, p := range []PageID{5, 1, 9} {
+			s.MakeTwin(p)
+			want++
+			check(fmt.Sprintf("round %d make %d", round, p))
+		}
+		s.DropTwin(1)
+		want--
+		s.DropTwin(1) // already dropped
+		s.DropTwin(7) // never twinned
+		check(fmt.Sprintf("round %d drops", round))
+		s.DropTwin(5)
+		s.DropTwin(9)
+		want -= 2
+		check(fmt.Sprintf("round %d drain", round))
+	}
+	s.MakeTwin(3)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second MakeTwin after make/drop cycles did not panic")
+		}
+	}()
+	s.MakeTwin(3)
+}
+
 func TestAllocatorAlignment(t *testing.T) {
 	a := NewAllocator()
 	x := a.Alloc(3, 1)

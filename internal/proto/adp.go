@@ -149,7 +149,7 @@ func (c *adpCoherence) Fault(p pagemem.PageID, onValid func()) {
 	if n.PageValid(p) {
 		n.pageInvariantf(p, "Fault on valid page %d", p)
 	}
-	if f, ok := n.fetches[p]; ok {
+	if f := n.fetches.Get(p); f != nil {
 		// A plain fetch without waiters can only be a coverage-wait residual
 		// left behind by an earlier home tenure (an lrc demand fetch carries
 		// its first waiter from birth to completion). If the page has since
@@ -217,8 +217,8 @@ func (c *adpCoherence) Fault(p pagemem.PageID, onValid func()) {
 func (c *adpCoherence) hybridFault(p pagemem.PageID, old []lrc.IntervalID, onValid func()) {
 	n := c.n
 	ps := n.page(p)
-	pfst := n.pf[p]
-	delete(n.pf, p)
+	pfst := n.pf.Get(p)
+	n.pf.Delete(p)
 	c.acc.cell(p).faults++
 
 	var outcome int64
@@ -239,7 +239,7 @@ func (c *adpCoherence) hybridFault(p pagemem.PageID, old []lrc.IntervalID, onVal
 		start:   n.K.Now(),
 		hybrid:  true,
 	}
-	n.fetches[p] = f
+	n.fetches.Set(p, f)
 
 	if home := c.hl.home(p); home != n.ID {
 		// One base request naming only the flush-era intervals: the home's
@@ -268,8 +268,8 @@ func (c *adpCoherence) hybridFault(p pagemem.PageID, old []lrc.IntervalID, onVal
 // up notices taken in while the fetch was in flight.
 func (c *adpCoherence) tryCompleteHybrid(p pagemem.PageID) {
 	n := c.n
-	f, ok := n.fetches[p]
-	if !ok || !f.hybrid {
+	f := n.fetches.Get(p)
+	if f == nil || !f.hybrid {
 		return
 	}
 	ps := n.page(p)
@@ -331,7 +331,7 @@ func (c *adpCoherence) finishHybrid(p pagemem.PageID, f *fetch, post []lrc.Inter
 		lm.Apply(n.Store.Frame(p))
 	}
 	ps.pending = ps.pending[:0]
-	delete(n.fetches, p)
+	n.fetches.Delete(p)
 	done := n.CPU.Service(cost, sim.CatDSM)
 	n.bus.Emit(event.FetchDone(n.ID, int64(p), done-f.start))
 	waiters := f.waiters
@@ -409,7 +409,7 @@ func (c *adpCoherence) Handle(m *netsim.Message) bool {
 	switch pl := m.Payload.(type) {
 	case *msgHomeFlush:
 		c.hl.handleHomeFlush(pl)
-		if f := n.fetches[pl.Page]; f != nil && f.hybrid {
+		if f := n.fetches.Get(pl.Page); f != nil && f.hybrid {
 			c.tryCompleteHybrid(pl.Page)
 		}
 	case *msgPageReq:
@@ -425,7 +425,7 @@ func (c *adpCoherence) Handle(m *netsim.Message) bool {
 		}
 		c.hl.handlePageReq(pl)
 	case *msgPageReply:
-		if f := n.fetches[pl.Page]; f != nil && f.hybrid && !pl.Prefetch {
+		if f := n.fetches.Get(pl.Page); f != nil && f.hybrid && !pl.Prefetch {
 			f.pageData = append([]byte(nil), pl.Data...)
 			c.tryCompleteHybrid(pl.Page)
 			return true
@@ -462,12 +462,12 @@ func (c *adpCoherence) handleDiffReply(rep *msgDiffReply) {
 			cl.bytes += int64(it.Diff.DataBytes())
 		}
 	}
-	f := n.fetches[rep.Page]
+	f := n.fetches.Get(rep.Page)
 	if f != nil && (f.hybrid || f.fill) {
 		for _, it := range rep.Items {
 			n.putDiff(it.ID, rep.Page, it.Diff, rep.Prefetch)
 		}
-		if pfst, ok := n.pf[rep.Page]; ok && rep.Prefetch && pfst.inflight > 0 {
+		if pfst := n.pf.Get(rep.Page); pfst != nil && rep.Prefetch && pfst.inflight > 0 {
 			pfst.inflight--
 		}
 		for _, it := range rep.Items {
@@ -484,7 +484,7 @@ func (c *adpCoherence) handleDiffReply(rep *msgDiffReply) {
 		for _, it := range rep.Items {
 			n.putDiff(it.ID, rep.Page, it.Diff, rep.Prefetch)
 		}
-		if pfst, ok := n.pf[rep.Page]; ok && rep.Prefetch && pfst.inflight > 0 {
+		if pfst := n.pf.Get(rep.Page); pfst != nil && rep.Prefetch && pfst.inflight > 0 {
 			pfst.inflight--
 		}
 		return
@@ -501,13 +501,13 @@ func (c *adpCoherence) handleDiffReply(rep *msgDiffReply) {
 func (c *adpCoherence) startFill(p pagemem.PageID, switchVC, prevEx lrc.VC) sim.Time {
 	n := c.n
 	hl := c.hl
-	if f := n.fetches[p]; f != nil {
+	if f := n.fetches.Get(p); f != nil {
 		if f.fill || f.hybrid || len(f.waiters) > 0 {
 			n.pageInvariantf(p, "mode switch to home for page %d with a demand fetch in flight", p)
 		}
 		// A waiterless coverage-wait from an earlier tenure (its flush still
 		// in flight); the fill supersedes it.
-		delete(n.fetches, p)
+		n.fetches.Delete(p)
 	}
 	if hl.xin[p] != nil {
 		n.pageInvariantf(p, "mode switch to home for page %d with a fill already pending", p)
@@ -536,7 +536,7 @@ func (c *adpCoherence) startFill(p pagemem.PageID, switchVC, prevEx lrc.VC) sim.
 		fillVC: switchVC.Clone(),
 		fillEx: prevEx,
 	}
-	n.fetches[p] = f
+	n.fetches.Set(p, f)
 	if len(want) > 0 {
 		c.lc.issueDiffRequests(f, want, 0)
 		return 0
@@ -552,8 +552,8 @@ func (c *adpCoherence) startFill(p pagemem.PageID, switchVC, prevEx lrc.VC) sim.
 func (c *adpCoherence) tryCompleteFill(p pagemem.PageID) {
 	n := c.n
 	hl := c.hl
-	f, ok := n.fetches[p]
-	if !ok || !f.fill {
+	f := n.fetches.Get(p)
+	if f == nil || !f.fill {
 		return
 	}
 	if len(f.needed) > 0 {
@@ -585,7 +585,7 @@ func (c *adpCoherence) tryCompleteFill(p pagemem.PageID) {
 	}
 	ps.pending = rest
 	hl.applied[p] = f.fillVC.Clone()
-	delete(n.fetches, p)
+	n.fetches.Delete(p)
 	done := n.CPU.Service(cost, sim.CatDSM)
 	if st := hl.xin[p]; st != nil {
 		buf := st.buf
@@ -612,7 +612,7 @@ func (c *adpCoherence) tryCompleteFill(p pagemem.PageID) {
 		for _, id := range uncovered {
 			f2.needed[id] = true
 		}
-		n.fetches[p] = f2
+		n.fetches.Set(p, f2)
 		return
 	}
 	ps.pending = ps.pending[:0]

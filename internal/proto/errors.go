@@ -2,7 +2,6 @@ package proto
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"godsm/internal/event"
@@ -18,9 +17,9 @@ import (
 // it via sim.EventTraceAttacher), turning a chaos-test failure into an
 // actionable dump rather than a bare stack trace.
 //
-// Every field is rendered deterministically: map-derived state (in-flight
-// fetches, outstanding prefetches) is sorted at capture time, so the same
-// failure always produces a byte-identical dump.
+// Every field is rendered deterministically: page-table state (in-flight
+// fetches, outstanding prefetches) is captured in ascending page order, so
+// the same failure always produces a byte-identical dump.
 type InvariantError struct {
 	Node int
 	Page int64 // page involved, or -1 when the failure is not page-related
@@ -68,14 +67,12 @@ func (e *InvariantError) AttachEventTrace(evs []event.Event) {
 	}
 }
 
-// sortedPages returns the keys of a page-keyed map, sorted, as int64s —
-// failure dumps must render map state deterministically.
-func sortedPages[V any](m map[pagemem.PageID]V) []int64 {
+// tablePages returns the pages present in t, ascending, as int64s.
+func tablePages[V comparable](t *pagemem.Table[V]) []int64 {
 	var out []int64
-	for p := range m {
+	for p := range t.All() {
 		out = append(out, int64(p))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -86,8 +83,8 @@ func (n *Node) newInvariantError(page int64, format string, args ...any) *Invari
 		VC:          n.vc.Clone(),
 		Time:        n.K.Now(),
 		Msg:         fmt.Sprintf(format, args...),
-		InFlight:    sortedPages(n.fetches),
-		Prefetching: sortedPages(n.pf),
+		InFlight:    tablePages(&n.fetches),
+		Prefetching: tablePages(&n.pf),
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"godsm/internal/event"
+	"godsm/internal/lrc"
 	"godsm/internal/pagemem"
 )
 
@@ -16,10 +17,10 @@ func TestInvariantErrorStableRendering(t *testing.T) {
 	r := newRig(2)
 	n := r.nodes[1]
 	for _, p := range []pagemem.PageID{9, 3, 17, 5} {
-		n.fetches[p] = &fetch{page: p}
+		n.fetches.Set(p, &fetch{page: p})
 	}
 	for _, p := range []pagemem.PageID{12, 4, 8} {
-		n.pf[p] = &pfState{}
+		n.pf.Set(p, &pfState{})
 	}
 
 	first := n.newInvariantError(7, "test failure %d", 42)
@@ -57,6 +58,65 @@ func TestInvariantErrorStableRendering(t *testing.T) {
 			t.Fatalf("rendering unstable on rebuild %d:\n--- first\n%s\n--- now\n%s", i, ref, got)
 		}
 	}
+}
+
+// Demand fetches and prefetches started in descending page order must be
+// captured ascending: the dump reads the page tables in page order.
+func TestInvariantErrorPagesAscendingFromLiveState(t *testing.T) {
+	r := newRig(2)
+	r.k.At(0, func() {
+		for _, p := range []pagemem.PageID{17, 12, 9, 8, 5, 4, 3} {
+			r.write(0, p.Base(), 1)
+		}
+	})
+	r.k.Run()
+	r.barrierAll(0)
+
+	var ie *InvariantError
+	r.k.At(r.k.Now(), func() {
+		n := r.nodes[1]
+		for _, p := range []pagemem.PageID{17, 9, 5, 3} {
+			n.Fault(p, func() {})
+		}
+		for _, p := range []pagemem.PageID{12, 8, 4} {
+			if n.Prefetch(p) != 1 {
+				t.Errorf("prefetch of page %d sent no request", p)
+			}
+		}
+		ie = n.newInvariantError(-1, "probe")
+	})
+	r.k.Run()
+	if want := []int64{3, 5, 9, 17}; !reflect.DeepEqual(ie.InFlight, want) {
+		t.Errorf("InFlight = %v, want %v", ie.InFlight, want)
+	}
+	if want := []int64{4, 8, 12}; !reflect.DeepEqual(ie.Prefetching, want) {
+		t.Errorf("Prefetching = %v, want %v", ie.Prefetching, want)
+	}
+}
+
+// gcFlush's sanity check must name the lowest offending page, whatever
+// order the pages became invalid in, so a chaos-soak failure dump replays
+// byte for byte.
+func TestGCFlushInvariantNamesLowestPage(t *testing.T) {
+	r := newRig(2)
+	n := r.nodes[1]
+	for _, p := range []pagemem.PageID{40, 21, 6} {
+		n.page(p).pending = []lrc.IntervalID{{Node: 0, Seq: 1}}
+	}
+	g, ok := n.gc.(*lrcGC)
+	if !ok {
+		t.Fatalf("default backend's GC is %T, want *lrcGC", n.gc)
+	}
+	defer func() {
+		ie, ok := recover().(*InvariantError)
+		if !ok {
+			t.Fatal("gcFlush with pending notices did not raise an InvariantError")
+		}
+		if ie.Page != 6 || !strings.Contains(ie.Msg, "page 6") {
+			t.Fatalf("invariant names page %d (%q), want the lowest, 6", ie.Page, ie.Msg)
+		}
+	}()
+	g.gcFlush()
 }
 
 // AttachEventTrace must be first-writer-wins: the innermost kernel that

@@ -1,8 +1,6 @@
 package proto
 
 import (
-	"sort"
-
 	"godsm/internal/event"
 	"godsm/internal/lrc"
 	"godsm/internal/netsim"
@@ -85,13 +83,13 @@ func (g *lrcGC) gcValidate(onDone func()) {
 	// splits while serving, eager-RC broadcasts), so re-scan until clean.
 	var wave func()
 	wave = func() {
+		// Collected first: the faults below add page-table entries.
 		var pages []pagemem.PageID
-		for p, ps := range n.pages {
+		for p, ps := range n.pages.All() {
 			if len(ps.pending) > 0 {
 				pages = append(pages, p)
 			}
 		}
-		sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
 		if len(pages) == 0 {
 			onDone()
 			return
@@ -118,7 +116,7 @@ func (g *lrcGC) gcFlush() {
 	n.diffs = make(map[lrc.IntervalID]map[pagemem.PageID]*pagemem.Diff)
 	n.diffBytes = 0
 	n.pfHeap = 0
-	n.pf = make(map[pagemem.PageID]*pfState)
+	n.pf.Reset()
 	for q := 0; q < n.N; q++ {
 		for s := range n.ivs[q] {
 			if int32(s) < n.vc[q] {
@@ -129,15 +127,10 @@ func (g *lrcGC) gcFlush() {
 	}
 	// Sanity: validation must have drained every pending list and created
 	// every outstanding own diff (each notice was pending somewhere).
-	// Sorted so a violation deterministically reports the lowest offending
-	// page — the chaos soak's failure dumps must reproduce byte-identically.
-	var check []pagemem.PageID
-	for p := range n.pages {
-		check = append(check, p)
-	}
-	sort.Slice(check, func(i, j int) bool { return check[i] < check[j] })
-	for _, p := range check {
-		ps := n.pages[p]
+	// Walked in page order so a violation deterministically reports the
+	// lowest offending page — the chaos soak's failure dumps must reproduce
+	// byte-identically.
+	for p, ps := range n.pages.All() {
 		if len(ps.pending) != 0 {
 			n.pageInvariantf(p, "gcFlush with pending diffs on page %d", p)
 		}

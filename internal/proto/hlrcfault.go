@@ -21,13 +21,13 @@ func (c *hlrcCoherence) Fault(p pagemem.PageID, onValid func()) {
 	if n.PageValid(p) {
 		n.pageInvariantf(p, "Fault on valid page %d", p)
 	}
-	if f, ok := n.fetches[p]; ok {
+	if f := n.fetches.Get(p); f != nil {
 		f.waiters = append(f.waiters, onValid)
 		return
 	}
 	ps := n.page(p)
-	pfst := n.pf[p]
-	delete(n.pf, p)
+	pfst := n.pf.Get(p)
+	n.pf.Delete(p)
 	if c.mig != nil {
 		c.acc.cell(p).faults++
 	}
@@ -82,7 +82,7 @@ func (c *hlrcCoherence) Fault(p pagemem.PageID, onValid func()) {
 		f.needed[id] = true
 		asked[id] = true
 	}
-	n.fetches[p] = f
+	n.fetches.Set(p, f)
 	c.asked[p] = asked
 	done := n.CPU.Service(n.C.FaultEntry+n.C.MsgSend, sim.CatDSM)
 	n.sendAfter(done, &netsim.Message{
@@ -122,7 +122,7 @@ func (c *hlrcCoherence) homeFault(p pagemem.PageID, ps *pageState, onValid func(
 	for _, id := range uncovered {
 		f.needed[id] = true
 	}
-	n.fetches[p] = f
+	n.fetches.Set(p, f)
 	n.CPU.Service(n.C.FaultEntry, sim.CatDSM)
 }
 
@@ -133,8 +133,8 @@ func (c *hlrcCoherence) handlePageReply(rep *msgPageReply) {
 		c.pf.cacheReply(rep)
 		return
 	}
-	f, ok := n.fetches[rep.Page]
-	if !ok {
+	f := n.fetches.Get(rep.Page)
+	if f == nil {
 		return
 	}
 	for _, id := range rep.Covers {
@@ -174,7 +174,7 @@ func (c *hlrcCoherence) handlePageReply(rep *msgPageReply) {
 	ps.pending = ps.pending[:0]
 	cost := n.C.DiffApply + sim.Time(n.C.ApplyNs*float64(pagemem.PageSize))
 	done := n.CPU.Service(cost, sim.CatDSM)
-	delete(n.fetches, rep.Page)
+	n.fetches.Delete(rep.Page)
 	delete(c.asked, rep.Page)
 	n.bus.Emit(event.HomeFetch(n.ID, c.home(rep.Page), int64(rep.Page), pagemem.PageSize))
 	n.bus.Emit(event.FetchDone(n.ID, int64(rep.Page), done-f.start))

@@ -103,8 +103,8 @@ func anyUncovered(c *hlrcCoherence, p pagemem.PageID, ids []lrc.IntervalID) bool
 // current; only the pending list empties.
 func (c *hlrcCoherence) completeHomeFetch(p pagemem.PageID, done sim.Time) {
 	n := c.n
-	f, ok := n.fetches[p]
-	if !ok || f.hybrid || f.fill {
+	f := n.fetches.Get(p)
+	if f == nil || f.hybrid || f.fill {
 		// The adaptive backend's hybrid fetches and fills track needs the
 		// coverage rule here would misread; adp.go owns their completion.
 		return
@@ -129,7 +129,7 @@ func (c *hlrcCoherence) completeHomeFetch(p pagemem.PageID, done sim.Time) {
 		return
 	}
 	ps.pending = ps.pending[:0]
-	delete(n.fetches, p)
+	n.fetches.Delete(p)
 	n.bus.Emit(event.FetchDone(n.ID, int64(p), done-f.start))
 	waiters := f.waiters
 	n.K.At(done, func() {

@@ -51,7 +51,7 @@ func (pf *hlrcPrefetcher) drop(p pagemem.PageID) { pf.take(p) }
 // existing entry without double-counting the heap.
 func (pf *hlrcPrefetcher) cacheReply(rep *msgPageReply) {
 	n := pf.n
-	if st, ok := n.pf[rep.Page]; ok && st.inflight > 0 {
+	if st := n.pf.Get(rep.Page); st != nil && st.inflight > 0 {
 		st.inflight--
 	}
 	pg, ok := pf.cache[rep.Page]
@@ -89,12 +89,12 @@ func (pf *hlrcPrefetcher) Prefetch(p pagemem.PageID) int {
 		}
 	}
 
-	if n.PageValid(p) || n.fetches[p] != nil || pf.coh.home(p) == n.ID {
+	if n.PageValid(p) || n.fetches.Get(p) != nil || pf.coh.home(p) == n.ID {
 		n.bus.Emit(event.PfUnnecessary(n.ID, int64(p)))
 		n.CPU.Service(n.C.PfCheck, sim.CatPrefetchOv)
 		return 0
 	}
-	if st, ok := n.pf[p]; ok && st.inflight > 0 {
+	if st := n.pf.Get(p); st != nil && st.inflight > 0 {
 		n.bus.Emit(event.PfUnnecessary(n.ID, int64(p)))
 		n.CPU.Service(n.C.PfCheck, sim.CatPrefetchOv)
 		return 0
@@ -106,10 +106,10 @@ func (pf *hlrcPrefetcher) Prefetch(p pagemem.PageID) int {
 		return 0
 	}
 
-	st, ok := n.pf[p]
-	if !ok {
+	st := n.pf.Get(p)
+	if st == nil {
 		st = &pfState{requested: make(map[lrc.IntervalID]bool)}
-		n.pf[p] = st
+		n.pf.Set(p, st)
 	}
 	need := append([]lrc.IntervalID(nil), ps.pending...)
 	for _, id := range need {

@@ -30,14 +30,14 @@ func (c *lrcCoherence) Fault(p pagemem.PageID, onValid func()) {
 	if n.PageValid(p) {
 		n.pageInvariantf(p, "Fault on valid page %d", p)
 	}
-	if f, ok := n.fetches[p]; ok {
+	if f := n.fetches.Get(p); f != nil {
 		f.waiters = append(f.waiters, onValid)
 		return
 	}
 
 	missing := n.missingDiffs(p)
-	pfst := n.pf[p]
-	delete(n.pf, p)
+	pfst := n.pf.Get(p)
+	n.pf.Delete(p)
 
 	if len(missing) == 0 {
 		// Everything needed is already local (prefetch diff cache): apply
@@ -71,7 +71,7 @@ func (c *lrcCoherence) Fault(p pagemem.PageID, onValid func()) {
 		waiters: []func(){onValid},
 		start:   n.K.Now(),
 	}
-	n.fetches[p] = f
+	n.fetches.Set(p, f)
 	c.issueDiffRequests(f, missing, n.C.FaultEntry)
 }
 
@@ -173,14 +173,14 @@ func (c *lrcCoherence) handleDiffReply(rep *msgDiffReply) {
 	for _, it := range rep.Items {
 		n.putDiff(it.ID, rep.Page, it.Diff, rep.Prefetch)
 	}
-	if pfst, ok := n.pf[rep.Page]; ok && rep.Prefetch && pfst.inflight > 0 {
+	if pfst := n.pf.Get(rep.Page); pfst != nil && rep.Prefetch && pfst.inflight > 0 {
 		// Clamped: a fault-injected duplicate reply must not drive the
 		// outstanding-request count negative.
 		pfst.inflight--
 	}
 
-	f, ok := n.fetches[rep.Page]
-	if !ok {
+	f := n.fetches.Get(rep.Page)
+	if f == nil {
 		return
 	}
 	for _, it := range rep.Items {
@@ -198,7 +198,7 @@ func (c *lrcCoherence) handleDiffReply(rep *msgDiffReply) {
 	}
 	cost := n.applyPending(f.page)
 	done := n.CPU.Service(cost, sim.CatDSM)
-	delete(n.fetches, f.page)
+	n.fetches.Delete(f.page)
 	n.bus.Emit(event.FetchDone(n.ID, int64(f.page), done-f.start))
 	waiters := f.waiters
 	n.K.At(done, func() {

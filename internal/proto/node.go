@@ -89,7 +89,7 @@ type Node struct {
 	diffs map[lrc.IntervalID]map[pagemem.PageID]*pagemem.Diff
 
 	// Per-page protocol state (created lazily; absence means valid+clean).
-	pages map[pagemem.PageID]*pageState
+	pages pagemem.Table[*pageState]
 
 	// Pages twinned during the current (open) interval; becomes the next
 	// interval's write notices.
@@ -99,10 +99,10 @@ type Node struct {
 	ownSinceBarrier []*lrc.Interval
 
 	// In-flight demand fetches, by page (request combining).
-	fetches map[pagemem.PageID]*fetch
+	fetches pagemem.Table[*fetch]
 
 	// Prefetch state, by page.
-	pf        map[pagemem.PageID]*pfState
+	pf        pagemem.Table[*pfState]
 	pfHeap    int64 // bytes in the prefetch cache (the "separate heap")
 	diffBytes int64 // bytes of ordinary stored diffs (GC accounting)
 
@@ -181,20 +181,17 @@ func NewNode(id, n int, k *sim.Kernel, cpu *sim.CPU, c *Costs, cfg Config) *Node
 		}
 	}
 	nd := &Node{
-		ID:      id,
-		N:       n,
-		K:       k,
-		CPU:     cpu,
-		C:       c,
-		bus:     k.Bus(),
-		Store:   pagemem.NewStore(),
-		vc:      lrc.NewVC(n),
-		ivs:     make([][]*lrc.Interval, n),
-		diffs:   make(map[lrc.IntervalID]map[pagemem.PageID]*pagemem.Diff),
-		pages:   make(map[pagemem.PageID]*pageState),
-		fetches: make(map[pagemem.PageID]*fetch),
-		pf:      make(map[pagemem.PageID]*pfState),
-		gcBase:  lrc.NewVC(n),
+		ID:     id,
+		N:      n,
+		K:      k,
+		CPU:    cpu,
+		C:      c,
+		bus:    k.Bus(),
+		Store:  pagemem.NewStore(),
+		vc:     lrc.NewVC(n),
+		ivs:    make([][]*lrc.Interval, n),
+		diffs:  make(map[lrc.IntervalID]map[pagemem.PageID]*pagemem.Diff),
+		gcBase: lrc.NewVC(n),
 	}
 	sub := b.Build(nd, cfg)
 	nd.coh = sub.Coherence
@@ -214,25 +211,25 @@ func (n *Node) SetMT(on bool) { n.mt = on }
 func (n *Node) VC() lrc.VC { return n.vc }
 
 func (n *Node) page(p pagemem.PageID) *pageState {
-	ps, ok := n.pages[p]
-	if !ok {
+	ps := n.pages.Get(p)
+	if ps == nil {
 		ps = &pageState{}
-		n.pages[p] = ps
+		n.pages.Set(p, ps)
 	}
 	return ps
 }
 
 // PageValid reports whether page p may be read locally without a fault.
 func (n *Node) PageValid(p pagemem.PageID) bool {
-	ps, ok := n.pages[p]
-	return !ok || len(ps.pending) == 0
+	ps := n.pages.Get(p)
+	return ps == nil || len(ps.pending) == 0
 }
 
 // PageWritable reports whether p is valid and already twinned, i.e. a write
 // needs no protocol action.
 func (n *Node) PageWritable(p pagemem.PageID) bool {
-	ps, ok := n.pages[p]
-	return ok && len(ps.pending) == 0 && ps.twinned
+	ps := n.pages.Get(p)
+	return ps != nil && len(ps.pending) == 0 && ps.twinned
 }
 
 // Frame exposes the local frame for direct data access by the env layer.

@@ -43,12 +43,12 @@ func (pf *lrcPrefetcher) Prefetch(p pagemem.PageID) int {
 		}
 	}
 
-	if n.PageValid(p) || n.fetches[p] != nil {
+	if n.PageValid(p) || n.fetches.Get(p) != nil {
 		n.bus.Emit(event.PfUnnecessary(n.ID, int64(p)))
 		n.CPU.Service(n.C.PfCheck, sim.CatPrefetchOv)
 		return 0
 	}
-	if st, ok := n.pf[p]; ok && st.inflight > 0 {
+	if st := n.pf.Get(p); st != nil && st.inflight > 0 {
 		n.bus.Emit(event.PfUnnecessary(n.ID, int64(p)))
 		n.CPU.Service(n.C.PfCheck, sim.CatPrefetchOv)
 		return 0
@@ -61,10 +61,10 @@ func (pf *lrcPrefetcher) Prefetch(p pagemem.PageID) int {
 		return 0
 	}
 
-	st, ok := n.pf[p]
-	if !ok {
+	st := n.pf.Get(p)
+	if st == nil {
 		st = &pfState{requested: make(map[lrc.IntervalID]bool)}
-		n.pf[p] = st
+		n.pf.Set(p, st)
 	}
 	nodes, groups := groupByNode(missing)
 	var msgs []*netsim.Message
